@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -17,7 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .core import Individual, make_rng
-from .metrics import build_frame, delta_hypervolume, fallback_frame, wilcoxon_signed_rank
+from .metrics import (
+    build_frame,
+    delta_hypervolume,
+    delta_hypervolumes,
+    fallback_frame,
+    wilcoxon_signed_rank,
+)
 from .moea import environmental_select
 from .problems import NOISE_NAMES, PROBLEM_NAMES, NoisyProblem, make_noise, make_problem
 from .racing import ALGORITHM_IDS, StopReason, algorithm_estimator, make_selector, nsga2_generation
@@ -25,6 +33,15 @@ from .racing import ALGORITHM_IDS, StopReason, algorithm_estimator, make_selecto
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+def _number(key: str, text: str, kind: type):
+    """Parse one numeric setting; a bad value is a ConfigError naming its key."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {text!r}") from None
 
 
 DEFAULT_POPULATION = 100
@@ -107,8 +124,8 @@ class ExperimentConfig:
             if not 0.0 < self.confidence < 1.0:
                 raise ConfigError("racing algorithms need a confidence in (0, 1)")
         self.proximity_threshold = float(self.proximity_threshold)
-        if self.proximity_threshold < 0.0:
-            raise ConfigError("proximity_threshold must be non-negative")
+        if not (math.isfinite(self.proximity_threshold) and self.proximity_threshold >= 0.0):
+            raise ConfigError("proximity_threshold must be finite and non-negative")
         self.population_size = int(self.population_size)
         if self.population_size < 2:
             raise ConfigError("population_size must be at least 2")
@@ -159,11 +176,13 @@ class ExperimentConfig:
             if key in ("problem", "noise", "algorithm", "estimator", "out"):
                 kwargs[key] = value
             elif key == "seeds":
-                kwargs[key] = tuple(int(s) for s in value.split(",")) if value else None
+                kwargs[key] = (
+                    tuple(_number(key, s, int) for s in value.split(",")) if value else None
+                )
             elif key in ("confidence", "proximity_threshold"):
-                kwargs[key] = float(value)
+                kwargs[key] = _number(key, value, float)
             else:
-                kwargs[key] = int(value) if value else None
+                kwargs[key] = _number(key, value, int) if value else None
         try:
             return cls(**kwargs)  # type: ignore[arg-type]
         except TypeError as exc:
@@ -343,39 +362,78 @@ class RunFileData:
     score: dict[str, str]
 
 
-def read_run_csv(path) -> RunFileData:
+# Stop-reason tallies as written (one-hot in _STOP_TALLY_ORDER, all zero
+# when no race ran), mapped back to the reason.
+_REASON_BY_TALLY = {
+    tuple("1" if name == reason else "0" for name in _STOP_TALLY_ORDER): reason
+    for reason in ("", *_STOP_TALLY_ORDER)
+}
+
+# Fields per record kind; a pop row holds at least two objective values.
+_ROW_WIDTH = {"meta": 3, "gen": 8, "pop": 3, "score": 3}
+
+
+def _malformed(path, line: int, what: str) -> ConfigError:
+    return ConfigError(f"{path}, line {line}: {what}")
+
+
+def _split_run_file(path):
+    """Split a run file into its meta map, its gen rows as (line number,
+    fields) still unparsed, its final points and its score map.
+
+    A file that does not start with meta rows is not a run file
+    (ValueError). In a run file, an unknown or short row, a non-numeric or
+    ragged point, or a missing final population raises ConfigError naming
+    the file and the 1-based line.
+    """
     meta: dict[str, str] = {}
-    gen_rows: list[GenRow] = []
+    gen_rows: list[tuple[int, list[str]]] = []
     points: list[list[float]] = []
     score: dict[str, str] = {}
-    with Path(path).open(newline="") as handle:
-        for row in csv.reader(handle):
-            if not row:
-                continue
+    line = 0
+    with Path(path).open() as handle:
+        for line, text in enumerate(handle, start=1):
+            row = text.rstrip("\n").split(",")
             kind = row[0]
-            if kind == "meta":
-                meta[row[1]] = row[2]
-            elif kind == "gen":
-                tallies = [int(v) for v in row[3:7]]
-                reason = ""
-                for value, name in zip(tallies, _STOP_TALLY_ORDER):
-                    if value:
-                        reason = name
-                gen_rows.append(GenRow(int(row[1]), int(row[2]), reason, int(row[7])))
+            if kind not in _ROW_WIDTH:
+                if not text.strip():
+                    continue
+                if not meta:
+                    raise ValueError(f"{path} is not a run file")
+                raise _malformed(path, line, f"unknown record kind {kind!r}")
+            if len(row) < _ROW_WIDTH[kind]:
+                raise _malformed(path, line, f"short {kind} row {','.join(row)!r}")
+            if kind == "gen":
+                gen_rows.append((line, row))
             elif kind == "pop":
-                points.append([float(v) for v in row[1:]])
-            elif kind == "score":
-                score[row[1]] = row[2]
+                try:
+                    point = [float(v) for v in row[1:]]
+                except ValueError:
+                    point = None
+                if point is None or (points and len(point) != len(points[0])):
+                    raise _malformed(path, line, f"bad pop row {','.join(row)!r}")
+                points.append(point)
+            elif kind == "meta":
+                meta[row[1]] = row[2]
             else:
-                raise ValueError(f"unknown record kind {kind!r} in {path}")
+                score[row[1]] = row[2]
     if not meta:
         raise ValueError(f"{path} is not a run file")
-    return RunFileData(
-        meta=meta,
-        gen_rows=gen_rows,
-        points=np.asarray(points, dtype=float),
-        score=score,
-    )
+    if not points:
+        raise _malformed(path, line, "file ends before the final population")
+    return meta, gen_rows, np.asarray(points, dtype=float), score
+
+
+def read_run_csv(path) -> RunFileData:
+    meta, gen_fields, points, score = _split_run_file(path)
+    gen_rows = []
+    for line, row in gen_fields:
+        try:
+            reason = _REASON_BY_TALLY[tuple(row[3:7])]
+            gen_rows.append(GenRow(int(row[1]), int(row[2]), reason, int(row[7])))
+        except (KeyError, ValueError):
+            raise _malformed(path, line, f"malformed gen row {','.join(row)!r}") from None
+    return RunFileData(meta=meta, gen_rows=gen_rows, points=points, score=score)
 
 
 SUMMARY_COLUMNS = (
@@ -453,29 +511,29 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
     algorithm variants within a cell, paired by common seeds (at least 5
     required for a row).
     """
-    runs = [read_run_csv(path) for path in _collect_run_files(source)]
-    by_cell: dict[tuple[str, str], list[RunFileData]] = {}
-    for run in runs:
-        by_cell.setdefault((run.meta["problem"], run.meta["noise"]), []).append(run)
+    by_cell: dict[tuple[str, str], list[tuple[dict[str, str], np.ndarray]]] = {}
+    for path in _collect_run_files(source):
+        meta, _, points, _ = _split_run_file(path)
+        by_cell.setdefault((meta["problem"], meta["noise"]), []).append((meta, points))
 
     summary_rows: list[SummaryRow] = []
     for (problem_name, noise_name), cell_runs in sorted(by_cell.items()):
-        problem = make_problem(problem_name)
-        front = problem.true_front(front_resolution)
-        frame = build_frame(front, *(run.points for run in cell_runs))
-        for run in cell_runs:
-            report = delta_hypervolume(run.points, problem, frame, front_resolution)
+        front = make_problem(problem_name).true_front(front_resolution)
+        point_sets = [points for _, points in cell_runs]
+        frame = build_frame(front, *point_sets)
+        reports = delta_hypervolumes(point_sets, front, frame)
+        for (meta, _), report in zip(cell_runs, reports):
             summary_rows.append(
                 SummaryRow(
                     problem=problem_name,
                     noise=noise_name,
-                    algorithm=run.meta["algorithm"],
-                    estimator=run.meta["estimator"],
-                    budget=int(run.meta["sampling_budget"]),
-                    confidence=float(run.meta["confidence"]),
-                    seed=int(run.meta["seed"]),
+                    algorithm=meta["algorithm"],
+                    estimator=meta["estimator"],
+                    budget=int(meta["sampling_budget"]),
+                    confidence=float(meta["confidence"]),
+                    seed=int(meta["seed"]),
                     delta_hv=report.delta_hv,
-                    evaluations=int(run.meta["evaluations"]),
+                    evaluations=int(meta["evaluations"]),
                 )
             )
     summary_rows.sort(key=SummaryRow.sort_key)
@@ -552,7 +610,8 @@ def run_batch(configs, out_dir, jobs: int = 1) -> tuple[Path, Path]:
     Run files land in ``out_dir/runs``; the scored summary and the
     pairwise significance table in ``out_dir``. Failed runs are recorded
     in ``out_dir/failures.csv`` and excluded from scoring instead of
-    aborting the batch. Returns (summary_path, significance_path).
+    aborting the batch. At most ``jobs`` worker processes run, and no more
+    than there are runs or CPUs. Returns (summary_path, significance_path).
     """
     configs = list(configs)
     if not configs:
@@ -569,9 +628,10 @@ def run_batch(configs, out_dir, jobs: int = 1) -> tuple[Path, Path]:
                 continue
             seen.add(name)
             tasks.append((cfg.to_text(), seed, str(runs_dir / name)))
-    if jobs > 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         texts, seeds, paths = zip(*tasks)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute_run, texts, seeds, paths, chunksize=1))
     else:
         results = [_execute_run(*task) for task in tasks]
@@ -635,20 +695,24 @@ def expand_grid(grid: dict) -> list[ExperimentConfig]:
     problems = grid.get("problems") or list(PROBLEM_NAMES)
     noises = grid.get("noises") or list(NOISE_NAMES)
     algorithms = grid.get("algorithms") or list(ALGORITHM_IDS)
-    budgets = [int(b) for b in grid.get("budgets", [])]
-    confidences = [float(c) for c in grid.get("confidences", [])]
-    master_seed = int(grid.get("master_seed", 0))
-    runs = int(grid.get("runs", DEFAULT_RUNS))
+    budgets = [_number("budgets", b, int) for b in grid.get("budgets", [])]
+    confidences = [_number("confidences", c, float) for c in grid.get("confidences", [])]
+    master_seed = _number("master_seed", grid.get("master_seed", 0), int)
+    runs = _number("runs", grid.get("runs", DEFAULT_RUNS), int)
     seeds = default_seeds(master_seed, runs)
     common = {
-        "proximity_threshold": float(grid.get("proximity", DEFAULT_PROXIMITY)),
-        "population_size": int(grid.get("population", DEFAULT_POPULATION)),
+        "proximity_threshold": _number(
+            "proximity", grid.get("proximity", DEFAULT_PROXIMITY), float
+        ),
+        "population_size": _number(
+            "population", grid.get("population", DEFAULT_POPULATION), int
+        ),
         "seeds": seeds,
     }
     if grid.get("evaluations"):
-        common["max_evaluations"] = int(grid["evaluations"])
+        common["max_evaluations"] = _number("evaluations", grid["evaluations"], int)
     if grid.get("max_generations"):
-        common["max_generations"] = int(grid["max_generations"])
+        common["max_generations"] = _number("max_generations", grid["max_generations"], int)
     configs: list[ExperimentConfig] = []
     seen: set[str] = set()
 

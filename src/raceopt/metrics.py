@@ -72,20 +72,14 @@ def hypervolume_2d(points, reference=(1.0, 1.0)) -> float:
     pts = pts[np.all(pts < ref, axis=1)]
     if pts.shape[0] == 0:
         return 0.0
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    xs: list[float] = []
-    ys: list[float] = []
-    best = math.inf
-    for i in order:
-        if pts[i, 1] < best:
-            xs.append(pts[i, 0])
-            ys.append(pts[i, 1])
-            best = pts[i, 1]
-    xs.append(float(ref[0]))
-    area = 0.0
-    for j in range(len(ys)):
-        area += (xs[j + 1] - xs[j]) * (ref[1] - ys[j])
-    return float(area)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    # A point is on the staircase iff it undercuts every f2 before it.
+    best_before = np.minimum.accumulate(np.concatenate(([math.inf], pts[:-1, 1])))
+    stairs = pts[pts[:, 1] < best_before]
+    widths = np.diff(np.append(stairs[:, 0], ref[0]))
+    # cumsum adds strictly left to right, as a scalar loop would; np.sum's
+    # pairwise summation would change the last bits.
+    return float(np.cumsum(widths * (ref[1] - stairs[:, 1]))[-1])
 
 
 @dataclass(frozen=True)
@@ -111,9 +105,20 @@ def delta_hypervolume(
     estimator values below the true front can make the gap negative.
     """
     front = problem.true_front(front_resolution)
+    return delta_hypervolumes([solution], front, frame, reference)[0]
+
+
+def delta_hypervolumes(
+    solutions, front, frame: NormalizationFrame, reference=(1.0, 1.0)
+) -> list[HvReport]:
+    """``delta_hypervolume`` of many solution sets sharing one frame, given
+    the sampled exact front; the front's hypervolume is computed once."""
     hv_front = hypervolume_2d(normalize(front, frame), reference)
-    hv_solution = hypervolume_2d(normalize(solution, frame), reference)
-    return HvReport(hv_front=hv_front, hv_solution=hv_solution, delta_hv=hv_front - hv_solution)
+    reports = []
+    for solution in solutions:
+        hv_solution = hypervolume_2d(normalize(solution, frame), reference)
+        reports.append(HvReport(hv_front, hv_solution, hv_front - hv_solution))
+    return reports
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -78,10 +78,10 @@ class RaceConfig:
             raise ValueError("delta must be in (0, 1)")
         if self.t_max < 1:
             raise ValueError("t_max must be at least 1")
-        if self.proximity_threshold < 0.0:
-            raise ValueError("proximity_threshold must be non-negative")
-        if self.range_width <= 0.0:
-            raise ValueError("range_width must be positive")
+        if not (math.isfinite(self.proximity_threshold) and self.proximity_threshold >= 0.0):
+            raise ValueError("proximity_threshold must be finite and non-negative")
+        if not (math.isfinite(self.range_width) and self.range_width > 0.0):
+            raise ValueError("range_width must be finite and positive")
 
 
 class SelectionRace:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from raceopt import harness
 from raceopt.cli import main as cli_main
 from raceopt.harness import (
     BOXPLOT_COLUMNS,
@@ -82,6 +83,24 @@ def test_config_rejects_bad_values():
         ExperimentConfig("zdt1", "none", "implicit", population_size=50, max_evaluations=10)
     with pytest.raises(ConfigError, match="seeds"):
         ExperimentConfig("zdt1", "none", "implicit", seeds=())
+
+
+def test_config_rejects_non_finite_proximity():
+    # x < nan is always False, so a NaN threshold would silently disable
+    # the proximity stop.
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="proximity_threshold"):
+            ExperimentConfig("zdt1", "none", "rsp-i", sampling_budget=5, confidence=0.5,
+                             proximity_threshold=value)
+    with pytest.raises(ConfigError, match="proximity_threshold"):
+        ExperimentConfig.from_text("problem = zdt1\nnoise = none\nalgorithm = implicit\n"
+                                   "proximity_threshold = nan\n")
+
+
+def test_config_from_text_names_a_non_numeric_key():
+    with pytest.raises(ConfigError, match="population_size must be an integer"):
+        ExperimentConfig.from_text("problem = zdt1\nnoise = none\nalgorithm = implicit\n"
+                                   "population_size = 2.5\n")
 
 
 def test_config_text_roundtrip():
@@ -182,6 +201,61 @@ def test_read_run_csv_rejects_foreign_files(tmp_path):
         read_run_csv(path)
 
 
+def _written_run(tmp_path) -> tuple[Path, list[str]]:
+    path = tmp_path / "run.csv"
+    write_run_csv(run_experiment(_tiny("rsp-i", noise="gaussian", sampling_budget=3,
+                                       confidence=0.25, max_evaluations=200), seed=1), path)
+    return path, path.read_text().splitlines(keepends=True)
+
+
+def _first_line(lines, kind) -> int:
+    return next(i for i, line in enumerate(lines) if line.startswith(kind + ","))
+
+
+def test_read_run_csv_names_file_and_line_of_a_row_cut_short(tmp_path):
+    path, lines = _written_run(tmp_path)
+    cut = _first_line(lines, "gen") + 2
+    path.write_text("".join(lines[:cut]) + "gen,119,")
+    with pytest.raises(ConfigError, match=rf"run\.csv, line {cut + 1}: short gen row"):
+        read_run_csv(path)
+
+
+def test_read_run_csv_names_file_and_line_of_a_non_numeric_field(tmp_path):
+    path, lines = _written_run(tmp_path)
+    # (kind, rows after its first, replacement); the last is a point wider
+    # than the one before it.
+    cases = (("gen", 0, "gen,1,x,0,0,0,1,3\n"), ("gen", 0, "gen,1,60,0,2,0,0,3\n"),
+             ("pop", 0, "pop,0.5,abc\n"), ("pop", 1, "pop,0.5,0.5,0.5\n"))
+    for kind, offset, broken in cases:
+        row = _first_line(lines, kind) + offset
+        path.write_text("".join(lines[:row] + [broken] + lines[row + 1:]))
+        with pytest.raises(ConfigError, match=rf"run\.csv, line {row + 1}: "):
+            read_run_csv(path)
+
+
+def test_read_run_csv_rejects_a_missing_population(tmp_path):
+    path, lines = _written_run(tmp_path)
+    path.write_text("".join(line for line in lines if not line.startswith("pop,")))
+    with pytest.raises(ConfigError, match=r"run\.csv, line \d+: .*final population"):
+        read_run_csv(path)
+
+
+def test_read_run_csv_keeps_every_stop_reason(tmp_path):
+    path, lines = _written_run(tmp_path)
+    row = _first_line(lines, "gen")
+    tallies = ["1,0,0,0", "0,1,0,0", "0,0,1,0", "0,0,0,1", "0,0,0,0"]
+    gens = [f"gen,{i + 1},{60 + i},{t},2\n" for i, t in enumerate(tallies)]
+    n_gens = sum(line.startswith("gen,") for line in lines)
+    path.write_text("".join(lines[:row] + gens + lines[row + n_gens:]))
+    rows = read_run_csv(path).gen_rows
+    assert [r.stop_reason for r in rows] == [
+        "quota_selected", "quota_discarded", "proximity", "t_max", ""
+    ]
+    assert [(r.generation, r.cumulative_evaluations, r.race_length) for r in rows] == [
+        (i + 1, 60 + i, 2) for i in range(5)
+    ]
+
+
 def test_racing_runs_log_stop_reasons():
     cfg = _tiny("rsp-i", noise="gaussian", sampling_budget=4, confidence=0.25,
                 max_evaluations=400)
@@ -251,6 +325,39 @@ def test_parallel_batch_matches_sequential_bytes(tmp_path):
     assert seq_files == par_files
     for rel in seq_files:
         assert _digest(seq_dir / rel) == _digest(par_dir / rel), rel
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "jobs, seeds, cpus, expected",
+    [(64, (0, 1, 2, 3, 4), 3, [3]), (64, (0, 1), 8, [2]), (2, (0, 1, 2), 8, [2]),
+     (64, (0, 1, 2), None, [])],
+)
+def test_batch_pool_is_bounded_by_jobs_runs_and_cpus(tmp_path, monkeypatch,
+                                                      jobs, seeds, cpus, expected):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    run_batch([_tiny(max_evaluations=30, seeds=seeds)], tmp_path, jobs=jobs)
+    assert _RecordingPool.sizes == expected
+    assert len(_read_rows(tmp_path / "summary.csv")) == len(seeds)
 
 
 def test_score_runs_single_file(tmp_path):
@@ -333,6 +440,18 @@ def test_expand_grid_requires_budgets_for_sampling_algorithms():
                 "budgets": ["3"],
             }
         )
+
+
+def test_expand_grid_names_a_non_integer_budget():
+    grid = parse_grid(GRID.replace("budgets = 2, 3", "budgets = 2.5"))
+    with pytest.raises(ConfigError, match="budgets must be an integer, got '2.5'"):
+        expand_grid(grid)
+    grid = parse_grid(GRID.replace("population = 8", "population = many"))
+    with pytest.raises(ConfigError, match="population must be an integer"):
+        expand_grid(grid)
+    grid = parse_grid(GRID + "proximity = nan\n")
+    with pytest.raises(ConfigError, match="proximity_threshold"):
+        expand_grid(grid)
 
 
 def test_parse_grid_rejects_unknown_keys():
@@ -448,6 +567,22 @@ def test_cli_configuration_errors_exit_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
     assert cli_main(["batch", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == 2
+
+
+def test_cli_malformed_inputs_exit_2_naming_the_culprit(tmp_path, capsys):
+    path, lines = _written_run(tmp_path)
+    summary = tmp_path / "summary.csv"
+    path.write_text("".join(lines[: _first_line(lines, "gen") + 1]) + "gen,119,")
+    assert cli_main(["score", "--in", str(path), "--out", str(summary)]) == 2
+    assert "run.csv, line" in capsys.readouterr().err
+    path.write_text("".join(line for line in lines if not line.startswith("pop,")))
+    assert cli_main(["score", "--in", str(tmp_path), "--out", str(summary)]) == 2
+    assert "final population" in capsys.readouterr().err
+    grid_path = tmp_path / "grid.cfg"
+    grid_path.write_text(GRID.replace("budgets = 2, 3", "budgets = 2.5"))
+    code = cli_main(["batch", "--config", str(grid_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "budgets" in capsys.readouterr().err
 
 
 def test_cli_runtime_errors_exit_1(tmp_path, capsys):

@@ -137,6 +137,52 @@ def test_hypervolume_agrees_with_monte_carlo():
         assert abs(exact - mc) <= 4.0 * sigma
 
 
+def _hypervolume_loop(points, reference=(1.0, 1.0)) -> float:
+    """The scalar sweep hypervolume_2d replaced; kept as the exact reference."""
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        return 0.0
+    ref = np.asarray(reference, dtype=float)
+    pts = pts[np.all(pts < ref, axis=1)]
+    if pts.shape[0] == 0:
+        return 0.0
+    xs: list[float] = []
+    ys: list[float] = []
+    best = np.inf
+    for i in np.lexsort((pts[:, 1], pts[:, 0])):
+        if pts[i, 1] < best:
+            xs.append(pts[i, 0])
+            ys.append(pts[i, 1])
+            best = pts[i, 1]
+    xs.append(float(ref[0]))
+    area = 0.0
+    for j in range(len(ys)):
+        area += (xs[j + 1] - xs[j]) * (ref[1] - ys[j])
+    return float(area)
+
+
+def _random_point_set(rng) -> np.ndarray:
+    """Points on a coarse grid (so f1 and f2 repeat), some of them on or
+    beyond the reference, some below 0, sometimes none at all."""
+    n = int(rng.integers(0, 40))
+    pts = rng.integers(-2, 24, size=(n, 2)) / 20.0
+    jitter = rng.random((n, 2)) < 0.5
+    return np.where(jitter, pts + rng.normal(0.0, 0.01, (n, 2)), pts)
+
+
+def test_hypervolume_matches_the_scalar_sweep_bit_for_bit():
+    rng = np.random.default_rng(83)
+    cases = [np.empty((0, 2)), [[0.3, 0.4]], [[1.0, 0.5]], [[0.5, 1.0]], [[1.2, -0.1]],
+             [[0.2, 0.5], [0.2, 0.3], [0.2, 0.3]], [[0.1, 0.6], [0.4, 0.6], [0.7, 0.6]]]
+    cases += [_random_point_set(rng) for _ in range(3000)]
+    cases += [rng.random((200, 2)) for _ in range(20)]
+    for pts in cases:
+        assert hypervolume_2d(pts) == _hypervolume_loop(pts), pts
+    reference = (1.5, 2.5)
+    for pts in cases[:200]:
+        assert hypervolume_2d(pts, reference) == _hypervolume_loop(pts, reference), pts
+
+
 # ---------------------------------------------------------------------------
 # hypervolume gap against the exact front
 

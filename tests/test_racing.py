@@ -101,6 +101,14 @@ def test_race_rejects_bad_shapes_and_quotas():
         race.record([True, False])
 
 
+def test_race_config_rejects_non_finite_settings():
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="proximity_threshold"):
+            RaceConfig(delta=0.5, t_max=5, proximity_threshold=value)
+        with pytest.raises(ValueError, match="range_width"):
+            RaceConfig(delta=0.5, t_max=5, range_width=value)
+
+
 def test_race_bounds_stay_valid_and_quotas_never_overshoot():
     rng = np.random.default_rng(41)
     for _ in range(300):
