@@ -1,84 +1,9 @@
 """Racing-based selection for evolutionary multi-objective optimization
 under noise: NSGA-II with Hoeffding races on selection probability,
 static-resampling and implicit-averaging baselines, noisy ZDT benchmarks,
-and a reproducible experiment harness."""
+and a reproducible experiment harness.
 
-from .core import EstimatorKind, Individual, SampleArchive, estimator_value, make_rng
-from .harness import ExperimentConfig, RunRecord, run_batch, run_experiment, score_runs
-from .metrics import (
-    HvReport,
-    NormalizationFrame,
-    build_frame,
-    delta_hypervolume,
-    hypervolume_2d,
-    normalize,
-    wilcoxon_signed_rank,
-)
-from .moea import (
-    SelectionOutcome,
-    binary_tournament,
-    crowding_distance,
-    dominates,
-    environmental_select,
-    nondominated_sort,
-    polynomial_mutation,
-    sbx_crossover,
-)
-from .problems import NoiseModel, NoisyProblem, Problem, make_noise, make_problem
-from .racing import (
-    RaceConfig,
-    RaceResult,
-    SelectionRace,
-    StopReason,
-    hoeffding_radius,
-    implicit_select,
-    make_selector,
-    nsga2_generation,
-    race_select,
-    static_select,
-)
+The package root exports nothing; import from the submodules (``core``,
+``problems``, ``moea``, ``racing``, ``metrics``, ``harness``, ``cli``)."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EstimatorKind",
-    "ExperimentConfig",
-    "HvReport",
-    "Individual",
-    "NoiseModel",
-    "NoisyProblem",
-    "NormalizationFrame",
-    "Problem",
-    "RaceConfig",
-    "RaceResult",
-    "RunRecord",
-    "SampleArchive",
-    "SelectionOutcome",
-    "SelectionRace",
-    "StopReason",
-    "binary_tournament",
-    "build_frame",
-    "crowding_distance",
-    "delta_hypervolume",
-    "dominates",
-    "environmental_select",
-    "estimator_value",
-    "hoeffding_radius",
-    "hypervolume_2d",
-    "implicit_select",
-    "make_noise",
-    "make_problem",
-    "make_rng",
-    "make_selector",
-    "nondominated_sort",
-    "normalize",
-    "nsga2_generation",
-    "polynomial_mutation",
-    "race_select",
-    "run_batch",
-    "run_experiment",
-    "sbx_crossover",
-    "score_runs",
-    "static_select",
-    "wilcoxon_signed_rank",
-]

@@ -70,7 +70,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         max_evaluations=args.evals,
         seeds=(args.seed,),
         max_generations=args.max_generations,
-        out=args.out,
     )
     record = run_experiment(cfg, args.seed)
     write_run_csv(record, args.out)

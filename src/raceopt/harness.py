@@ -13,7 +13,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,14 +63,15 @@ def default_seeds(master_seed: int = 0, runs: int = DEFAULT_RUNS) -> tuple[int, 
     return tuple(range(master_seed, master_seed + runs))
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class ExperimentConfig:
     """One cell of the experiment grid plus its seeds.
 
     Construction canonicalizes: the estimator is derived from the
     algorithm, implicit averaging pins sampling_budget to 1, and
     non-racing algorithms pin confidence to 0. Canonical form makes
-    equality, deduplication, and serialization well defined.
+    equality and hashing, and so grid deduplication, well defined; a
+    config is never mutated after construction, so it hashes by value.
     """
 
     problem: str
@@ -84,7 +85,6 @@ class ExperimentConfig:
     max_evaluations: int | None = None
     seeds: tuple[int, ...] | None = None
     max_generations: int | None = None
-    out: str = ""
 
     def __post_init__(self) -> None:
         self.problem = str(self.problem).lower()
@@ -143,53 +143,6 @@ class ExperimentConfig:
             self.max_generations = int(self.max_generations)
             if self.max_generations < 0:
                 raise ConfigError("max_generations must be non-negative")
-        self.out = str(self.out)
-
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "seeds":
-                value = ",".join(str(s) for s in value)
-            elif value is None:
-                value = ""
-            lines.append(f"{f.name} = {value}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
-        raw: dict[str, str] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"expected key = value, got {line!r}")
-            key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        kwargs: dict[str, object] = {}
-        for key, value in raw.items():
-            if key in ("problem", "noise", "algorithm", "estimator", "out"):
-                kwargs[key] = value
-            elif key == "seeds":
-                kwargs[key] = (
-                    tuple(_number(key, s, int) for s in value.split(",")) if value else None
-                )
-            elif key in ("confidence", "proximity_threshold"):
-                kwargs[key] = _number(key, value, float)
-            else:
-                kwargs[key] = _number(key, value, int) if value else None
-        try:
-            return cls(**kwargs)  # type: ignore[arg-type]
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def variant_key(self) -> tuple[str, int, float]:
-        return (self.algorithm, self.sampling_budget, self.confidence)
 
     def run_filename(self, seed: int) -> str:
         return (
@@ -282,22 +235,6 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunRecord:
     )
 
 
-_META_KEYS = (
-    "problem",
-    "noise",
-    "algorithm",
-    "estimator",
-    "sampling_budget",
-    "confidence",
-    "proximity_threshold",
-    "population_size",
-    "max_evaluations",
-    "max_generations",
-    "seed",
-    "generations",
-    "evaluations",
-)
-
 _STOP_TALLY_ORDER = (
     StopReason.QUOTA_SELECTED.value,
     StopReason.QUOTA_DISCARDED.value,
@@ -318,7 +255,7 @@ def write_run_csv(record: RunRecord, path) -> None:
     """Serialize a run: meta rows, one row per generation, the final
     population's true objective values, and a fallback-frame score."""
     cfg = record.config
-    meta_values = {
+    meta = {
         "problem": cfg.problem,
         "noise": cfg.noise,
         "algorithm": cfg.algorithm,
@@ -339,8 +276,8 @@ def write_run_csv(record: RunRecord, path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        for key in _META_KEYS:
-            writer.writerow(["meta", key, _fmt(meta_values[key])])
+        for key, value in meta.items():
+            writer.writerow(["meta", key, _fmt(value)])
         for row in record.gen_rows:
             tallies = [1 if row.stop_reason == reason else 0 for reason in _STOP_TALLY_ORDER]
             writer.writerow(
@@ -373,6 +310,11 @@ _REASON_BY_TALLY = {
 _ROW_WIDTH = {"meta": 3, "gen": 8, "pop": 3, "score": 3}
 
 
+class _NotARunFile(ValueError):
+    """A file that does not start with meta rows: not a damaged run file
+    but some other file, such as a summary table."""
+
+
 def _malformed(path, line: int, what: str) -> ConfigError:
     return ConfigError(f"{path}, line {line}: {what}")
 
@@ -381,10 +323,10 @@ def _split_run_file(path):
     """Split a run file into its meta map, its gen rows as (line number,
     fields) still unparsed, its final points and its score map.
 
-    A file that does not start with meta rows is not a run file
-    (ValueError). In a run file, an unknown or short row, a non-numeric or
-    ragged point, or a missing final population raises ConfigError naming
-    the file and the 1-based line.
+    A file whose first non-blank row is not a meta row is not a run file
+    (_NotARunFile, a ValueError). In a run file, an unknown or short row, a
+    non-numeric or ragged point, or a missing final population raises
+    ConfigError naming the file and the 1-based line.
     """
     meta: dict[str, str] = {}
     gen_rows: list[tuple[int, list[str]]] = []
@@ -395,11 +337,11 @@ def _split_run_file(path):
         for line, text in enumerate(handle, start=1):
             row = text.rstrip("\n").split(",")
             kind = row[0]
-            if kind not in _ROW_WIDTH:
+            if kind not in _ROW_WIDTH or (not meta and kind != "meta"):
                 if not text.strip():
                     continue
                 if not meta:
-                    raise ValueError(f"{path} is not a run file")
+                    raise _NotARunFile(f"{path} is not a run file")
                 raise _malformed(path, line, f"unknown record kind {kind!r}")
             if len(row) < _ROW_WIDTH[kind]:
                 raise _malformed(path, line, f"short {kind} row {','.join(row)!r}")
@@ -418,7 +360,7 @@ def _split_run_file(path):
             else:
                 score[row[1]] = row[2]
     if not meta:
-        raise ValueError(f"{path} is not a run file")
+        raise _NotARunFile(f"{path} is not a run file")
     if not points:
         raise _malformed(path, line, "file ends before the final population")
     return meta, gen_rows, np.asarray(points, dtype=float), score
@@ -485,23 +427,6 @@ class SummaryRow:
         )
 
 
-def _collect_run_files(source) -> list[Path]:
-    root = Path(source)
-    if root.is_file():
-        return [root]
-    if not root.is_dir():
-        raise ConfigError(f"no such run source: {source}")
-    files = []
-    for path in sorted(root.rglob("*.csv")):
-        with path.open(newline="") as handle:
-            first = handle.readline()
-        if first.startswith("meta,"):
-            files.append(path)
-    if not files:
-        raise ConfigError(f"no run files found under {source}")
-    return files
-
-
 def score_runs(source, summary_path, significance_path, front_resolution: int = 1000) -> None:
     """Score run files with batch frames and write summary + significance.
 
@@ -509,12 +434,38 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
     exact front sampled at ``front_resolution`` plus every final
     population in the cell. Pairwise two-sided Wilcoxon tests compare
     algorithm variants within a cell, paired by common seeds (at least 5
-    required for a row).
+    required for a row). ``source`` is one run file or a directory whose
+    ``.csv`` files are scanned; other files found there are skipped. A run
+    file lacking a meta key the summary reads is a ConfigError.
     """
-    by_cell: dict[tuple[str, str], list[tuple[dict[str, str], np.ndarray]]] = {}
-    for path in _collect_run_files(source):
-        meta, _, points, _ = _split_run_file(path)
-        by_cell.setdefault((meta["problem"], meta["noise"]), []).append((meta, points))
+    root = Path(source)
+    if not (root.is_file() or root.is_dir()):
+        raise ConfigError(f"no such run source: {source}")
+    by_cell: dict[tuple[str, str], list[tuple[dict, np.ndarray]]] = {}
+    for path in [root] if root.is_file() else sorted(root.rglob("*.csv")):
+        try:
+            meta, _, points, _ = _split_run_file(path)
+        except _NotARunFile:
+            if path == root:
+                raise
+            continue  # a scanned directory may hold other tables, such as a summary
+        try:
+            cell = (meta["problem"], meta["noise"])
+            run = {
+                "algorithm": meta["algorithm"],
+                "estimator": meta["estimator"],
+                "budget": _number("sampling_budget", meta["sampling_budget"], int),
+                "confidence": _number("confidence", meta["confidence"], float),
+                "seed": _number("seed", meta["seed"], int),
+                "evaluations": _number("evaluations", meta["evaluations"], int),
+            }
+        except KeyError as exc:
+            raise ConfigError(f"{path}: missing meta key {exc.args[0]!r}") from None
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: meta {exc}") from None
+        by_cell.setdefault(cell, []).append((run, points))
+    if not by_cell:
+        raise ConfigError(f"no run files found under {source}")
 
     summary_rows: list[SummaryRow] = []
     for (problem_name, noise_name), cell_runs in sorted(by_cell.items()):
@@ -522,19 +473,9 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
         point_sets = [points for _, points in cell_runs]
         frame = build_frame(front, *point_sets)
         reports = delta_hypervolumes(point_sets, front, frame)
-        for (meta, _), report in zip(cell_runs, reports):
+        for (run, _), report in zip(cell_runs, reports):
             summary_rows.append(
-                SummaryRow(
-                    problem=problem_name,
-                    noise=noise_name,
-                    algorithm=meta["algorithm"],
-                    estimator=meta["estimator"],
-                    budget=int(meta["sampling_budget"]),
-                    confidence=float(meta["confidence"]),
-                    seed=int(meta["seed"]),
-                    delta_hv=report.delta_hv,
-                    evaluations=int(meta["evaluations"]),
-                )
+                SummaryRow(problem=problem_name, noise=noise_name, delta_hv=report.delta_hv, **run)
             )
     summary_rows.sort(key=SummaryRow.sort_key)
 
@@ -593,10 +534,9 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
                 )
 
 
-def _execute_run(cfg_text: str, seed: int, path_str: str) -> tuple[str, str]:
+def _execute_run(cfg: ExperimentConfig, seed: int, path_str: str) -> tuple[str, str]:
     """Worker: run one (config, seed) pair and write its file."""
     try:
-        cfg = ExperimentConfig.from_text(cfg_text)
         record = run_experiment(cfg, seed)
         write_run_csv(record, path_str)
         return (path_str, "")
@@ -619,7 +559,7 @@ def run_batch(configs, out_dir, jobs: int = 1) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-    tasks: list[tuple[str, int, str]] = []
+    tasks: list[tuple[ExperimentConfig, int, str]] = []
     seen: set[str] = set()
     for cfg in configs:
         for seed in cfg.seeds:
@@ -627,12 +567,12 @@ def run_batch(configs, out_dir, jobs: int = 1) -> tuple[Path, Path]:
             if name in seen:
                 continue
             seen.add(name)
-            tasks.append((cfg.to_text(), seed, str(runs_dir / name)))
+            tasks.append((cfg, seed, str(runs_dir / name)))
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        texts, seeds, paths = zip(*tasks)
+        cfgs, seeds, paths = zip(*tasks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_execute_run, texts, seeds, paths, chunksize=1))
+            results = list(pool.map(_execute_run, cfgs, seeds, paths, chunksize=1))
     else:
         results = [_execute_run(*task) for task in tasks]
     failures = [(path, err) for path, err in results if err]
@@ -657,7 +597,6 @@ _GRID_SCALAR_KEYS = (
     "proximity",
     "master_seed",
     "runs",
-    "jobs",
     "max_generations",
 )
 
@@ -713,24 +652,16 @@ def expand_grid(grid: dict) -> list[ExperimentConfig]:
         common["max_evaluations"] = _number("evaluations", grid["evaluations"], int)
     if grid.get("max_generations"):
         common["max_generations"] = _number("max_generations", grid["max_generations"], int)
-    configs: list[ExperimentConfig] = []
-    seen: set[str] = set()
-
-    def push(cfg: ExperimentConfig) -> None:
-        text = cfg.to_text()
-        if text not in seen:
-            seen.add(text)
-            configs.append(cfg)
-
+    configs: dict[ExperimentConfig, None] = {}
     for problem, noise, algorithm in itertools.product(problems, noises, algorithms):
         if algorithm == "implicit":
-            push(ExperimentConfig(problem, noise, algorithm, **common))
+            configs.setdefault(ExperimentConfig(problem, noise, algorithm, **common))
             continue
         if not budgets:
             raise ConfigError(f"{algorithm} requires a budgets list in the grid")
         for budget in budgets:
             if algorithm.startswith("static"):
-                push(
+                configs.setdefault(
                     ExperimentConfig(
                         problem, noise, algorithm, sampling_budget=budget, **common
                     )
@@ -739,7 +670,7 @@ def expand_grid(grid: dict) -> list[ExperimentConfig]:
             if not confidences:
                 raise ConfigError(f"{algorithm} requires a confidences list in the grid")
             for confidence in confidences:
-                push(
+                configs.setdefault(
                     ExperimentConfig(
                         problem,
                         noise,
@@ -749,7 +680,7 @@ def expand_grid(grid: dict) -> list[ExperimentConfig]:
                         **common,
                     )
                 )
-    return configs
+    return list(configs)
 
 
 BOXPLOT_COLUMNS = (

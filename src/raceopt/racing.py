@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -394,16 +393,22 @@ class Selector:
 
     ``worst_evals_per_offspring`` is the per-individual sample count: the
     exact worst-case cost of one individual sampled as new, and the archive
-    length an individual needs to enter selection as unchanged.
+    length an individual needs to enter selection as unchanged. With a
+    ``race`` the selector races; without one it resamples statically with
+    that count, which for implicit averaging is one sample and ``LAST``.
     """
 
     algorithm: str
     estimator: EstimatorKind
     worst_evals_per_offspring: int
-    _impl: Callable[..., RaceResult]
+    race: RaceConfig | None = None
 
     def select(self, population, mu, noisy, eval_rng, boot_rng) -> RaceResult:
-        return self._impl(population, mu, noisy, eval_rng, boot_rng)
+        if self.race is not None:
+            return race_select(population, mu, self.race, noisy, eval_rng, boot_rng)
+        return static_select(
+            population, mu, self.worst_evals_per_offspring, self.estimator, noisy, eval_rng
+        )
 
     def holds_enough(self, ind: Individual) -> bool:
         """Whether ind's archive already holds the per-individual sample count."""
@@ -430,30 +435,21 @@ def make_selector(
     """
     estimator = algorithm_estimator(algorithm)
     if algorithm == "implicit":
-        def impl(pop, mu, noisy, eval_rng, boot_rng):
-            return implicit_select(pop, mu, noisy, eval_rng)
-
-        return Selector(algorithm, estimator, 1, impl)
+        return Selector(algorithm, estimator, 1)
     if sampling_budget is None or sampling_budget < 1:
         raise ValueError(f"{algorithm} requires a sampling budget >= 1")
     if algorithm.startswith("static"):
-        def impl(pop, mu, noisy, eval_rng, boot_rng, _n=sampling_budget, _e=estimator):
-            return static_select(pop, mu, _n, _e, noisy, eval_rng)
-
-        return Selector(algorithm, estimator, sampling_budget, impl)
+        return Selector(algorithm, estimator, sampling_budget)
     # rsp-* variants
     if confidence is None or not 0.0 < confidence < 1.0:
         raise ValueError(f"{algorithm} requires a confidence in (0, 1)")
-    config = RaceConfig(
+    race = RaceConfig(
         delta=1.0 - confidence,
         t_max=sampling_budget,
         proximity_threshold=proximity_threshold,
         estimator=estimator,
     )
-    def impl(pop, mu, noisy, eval_rng, boot_rng, _cfg=config):
-        return race_select(pop, mu, _cfg, noisy, eval_rng, boot_rng)
-
-    return Selector(algorithm, estimator, sampling_budget, impl)
+    return Selector(algorithm, estimator, sampling_budget, race)
 
 
 def _child(genome: np.ndarray, parents: tuple[Individual, Individual]) -> Individual:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -92,31 +93,25 @@ def test_config_rejects_non_finite_proximity():
         with pytest.raises(ConfigError, match="proximity_threshold"):
             ExperimentConfig("zdt1", "none", "rsp-i", sampling_budget=5, confidence=0.5,
                              proximity_threshold=value)
-    with pytest.raises(ConfigError, match="proximity_threshold"):
-        ExperimentConfig.from_text("problem = zdt1\nnoise = none\nalgorithm = implicit\n"
-                                   "proximity_threshold = nan\n")
 
 
-def test_config_from_text_names_a_non_numeric_key():
-    with pytest.raises(ConfigError, match="population_size must be an integer"):
-        ExperimentConfig.from_text("problem = zdt1\nnoise = none\nalgorithm = implicit\n"
-                                   "population_size = 2.5\n")
-
-
-def test_config_text_roundtrip():
+def test_config_pickle_roundtrip():
+    # Batch workers receive configs pickled; equal configs must hash alike,
+    # because grid expansion deduplicates on the config itself.
     for cfg in (
         _tiny(),
         _tiny("static-med", sampling_budget=4),
         _tiny("rsp-avg", sampling_budget=6, confidence=0.25, seeds=(3, 4, 5)),
     ):
-        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
-
-
-def test_config_from_text_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="unknown config keys"):
-        ExperimentConfig.from_text("problem = zdt1\ncolor = red\n")
-    with pytest.raises(ConfigError, match="key = value"):
-        ExperimentConfig.from_text("problem zdt1\n")
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg
+        assert hash(copy) == hash(cfg)
+    # Canonical forms of one cell are equal and hash alike.
+    spelled = ExperimentConfig("ZDT1", "None", "implicit", sampling_budget=7,
+                               population_size=8, max_evaluations=200, seeds=(0,))
+    assert spelled == _tiny()
+    assert hash(spelled) == hash(_tiny())
+    assert _tiny() != _tiny(seeds=(1,))
 
 
 def test_run_filenames_distinguish_variants_and_seeds():
@@ -383,6 +378,25 @@ def test_score_runs_missing_source(tmp_path):
         score_runs(empty, tmp_path / "s.csv", tmp_path / "g.csv")
 
 
+def test_score_runs_reads_each_run_file_once_and_skips_foreign_files(tmp_path, monkeypatch):
+    batch = tmp_path / "batch"
+    summary, _ = run_batch([_tiny(seeds=(0, 1))], batch)
+    run_names = sorted(path.name for path in (batch / "runs").glob("*.csv"))
+    opened = []
+    real_open = Path.open
+
+    def recording_open(self, *args, **kwargs):
+        opened.append(self.name)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", recording_open)
+    # The batch directory also holds summary.csv and significance.csv.
+    rescored = tmp_path / "rescored.csv"
+    score_runs(batch, rescored, tmp_path / "rescored_sig.csv")
+    assert sorted(name for name in opened if name in run_names) == run_names
+    assert rescored.read_bytes() == summary.read_bytes()
+
+
 def test_batch_frame_scores_differ_from_fallback_only_by_frame(tmp_path):
     # The per-run fallback score and the batch score use different nadirs,
     # but both must agree that the front hypervolume bounds the solution.
@@ -459,6 +473,16 @@ def test_parse_grid_rejects_unknown_keys():
         parse_grid("flavor = vanilla\n")
     with pytest.raises(ConfigError, match="key = value"):
         parse_grid("problems zdt1\n")
+
+
+def test_grid_key_jobs_is_rejected(tmp_path, capsys):
+    # Workers are set by --jobs alone; a grid key that nothing reads is refused.
+    with pytest.raises(ConfigError, match="unknown grid key: 'jobs'"):
+        parse_grid("jobs = 2\n")
+    grid_path = tmp_path / "grid.cfg"
+    grid_path.write_text(GRID + "jobs = 8\n")
+    assert cli_main(["batch", "--config", str(grid_path), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown grid key: 'jobs'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +607,20 @@ def test_cli_malformed_inputs_exit_2_naming_the_culprit(tmp_path, capsys):
     code = cli_main(["batch", "--config", str(grid_path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "budgets" in capsys.readouterr().err
+
+
+def test_cli_run_file_missing_a_meta_key_exits_2_naming_file_and_key(tmp_path, capsys):
+    path, lines = _written_run(tmp_path)
+    summary = tmp_path / "summary.csv"
+    for key in ("problem", "noise", "algorithm", "estimator", "sampling_budget",
+                "confidence", "seed", "evaluations"):
+        path.write_text("".join(line for line in lines if not line.startswith(f"meta,{key},")))
+        assert cli_main(["score", "--in", str(path), "--out", str(summary)]) == 2
+        assert f"run.csv: missing meta key '{key}'" in capsys.readouterr().err
+    path.write_text("".join("meta,seed,one\n" if line.startswith("meta,seed,") else line
+                            for line in lines))
+    assert cli_main(["score", "--in", str(path), "--out", str(summary)]) == 2
+    assert "run.csv: meta seed must be an integer, got 'one'" in capsys.readouterr().err
 
 
 def test_cli_runtime_errors_exit_1(tmp_path, capsys):
