@@ -55,14 +55,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.algo != "implicit" and args.budget is None:
-        raise ConfigError(f"--budget is required for algorithm {args.algo!r}")
-    if args.algo.startswith("rsp") and args.confidence is None:
-        raise ConfigError(f"--confidence is required for algorithm {args.algo!r}")
+    algo = args.algo.lower()
+    if algo != "implicit" and args.budget is None:
+        raise ConfigError(f"--budget is required for algorithm {algo!r}")
+    if algo.startswith("rsp") and args.confidence is None:
+        raise ConfigError(f"--confidence is required for algorithm {algo!r}")
     cfg = ExperimentConfig(
         problem=args.problem,
         noise=args.noise,
-        algorithm=args.algo,
+        algorithm=algo,
         sampling_budget=args.budget if args.budget is not None else 1,
         confidence=args.confidence if args.confidence is not None else 0.0,
         proximity_threshold=args.proximity,

@@ -23,9 +23,11 @@ def estimator_value(samples: np.ndarray, kind: EstimatorKind) -> np.ndarray:
 
     Args:
         samples: Array of shape (t, k), one row per evaluation, oldest first.
+            Finite, as every archive is.
         kind: LAST returns the most recent row, MEAN and MEDIAN reduce
             component-wise. The median of an even number of samples is the
-            midpoint of the two central order statistics.
+            midpoint of the two central order statistics, computed as
+            ``np.median`` computes it, so the two agree exactly.
 
     Returns:
         Array of shape (k,).
@@ -41,17 +43,34 @@ def estimator_value(samples: np.ndarray, kind: EstimatorKind) -> np.ndarray:
     if kind is EstimatorKind.MEAN:
         return arr.mean(axis=0)
     if kind is EstimatorKind.MEDIAN:
-        return np.median(arr, axis=0)
+        # np.median averages the central order statistics with a sum that
+        # starts from +0.0; starting from it here too makes the two agree
+        # bit for bit, signed zeros included.
+        ordered = np.sort(arr, axis=0)
+        half = ordered.shape[0] // 2
+        if ordered.shape[0] % 2:
+            return 0.0 + ordered[half]
+        return (0.0 + ordered[half - 1] + ordered[half]) / 2.0
     raise ValueError(f"unknown estimator: {kind!r}")
 
 
-class SampleArchive:
-    """Append-only store of objective samples for one individual."""
+# Rows an archive holds before its buffer first grows.
+_INITIAL_ROWS = 8
 
-    __slots__ = ("_rows",)
+
+class SampleArchive:
+    """Append-only store of objective samples for one individual.
+
+    The rows live in one preallocated float buffer that doubles when it
+    fills; ``as_array`` is a read-only view of the rows written so far.
+    Every row is finite and all rows have the same length.
+    """
+
+    __slots__ = ("_buffer", "_count")
 
     def __init__(self, rows=None) -> None:
-        self._rows: list[np.ndarray] = []
+        self._buffer: np.ndarray | None = None
+        self._count = 0
         if rows is not None:
             for row in rows:
                 self.append(row)
@@ -60,26 +79,44 @@ class SampleArchive:
         row = np.asarray(point, dtype=float)
         if row.ndim != 1 or row.size == 0:
             raise ValueError("objective point must be a non-empty 1-d array")
-        self._rows.append(row.copy())
+        if not np.isfinite(row).all():
+            raise ValueError(f"objective point must be finite, got {row.tolist()}")
+        buffer = self._buffer
+        if buffer is None:
+            buffer = self._buffer = np.empty((_INITIAL_ROWS, row.size))
+        elif row.size != buffer.shape[1]:
+            raise ValueError(
+                f"objective point has {row.size} values, the archive holds {buffer.shape[1]}"
+            )
+        elif self._count == buffer.shape[0]:
+            grown = np.empty((2 * self._count, row.size))
+            grown[: self._count] = buffer
+            buffer = self._buffer = grown
+        buffer[self._count] = row
+        self._count += 1
 
     def as_array(self) -> np.ndarray:
-        if not self._rows:
+        if not self._count:
             raise ValueError("empty-archive")
-        return np.vstack(self._rows)
+        rows = self._buffer[: self._count]
+        rows.flags.writeable = False
+        return rows
 
     def estimate(self, kind: EstimatorKind) -> np.ndarray:
         return estimator_value(self.as_array(), kind)
 
     def copy(self) -> "SampleArchive":
         dup = SampleArchive()
-        dup._rows = [row.copy() for row in self._rows]
+        if self._buffer is not None:
+            dup._buffer = self._buffer.copy()
+        dup._count = self._count
         return dup
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._count
 
     def __bool__(self) -> bool:
-        return bool(self._rows)
+        return self._count > 0
 
 
 @dataclass

@@ -633,7 +633,7 @@ def expand_grid(grid: dict) -> list[ExperimentConfig]:
     """
     problems = grid.get("problems") or list(PROBLEM_NAMES)
     noises = grid.get("noises") or list(NOISE_NAMES)
-    algorithms = grid.get("algorithms") or list(ALGORITHM_IDS)
+    algorithms = [a.lower() for a in grid.get("algorithms") or ALGORITHM_IDS]
     budgets = [_number("budgets", b, int) for b in grid.get("budgets", [])]
     confidences = [_number("confidences", c, float) for c in grid.get("confidences", [])]
     master_seed = _number("master_seed", grid.get("master_seed", 0), int)

@@ -31,7 +31,7 @@ ZDT6_F1_MIN = 1.0 - math.exp(-4.0 * _ZDT6_X_STAR) * math.sin(6.0 * math.pi * _ZD
 
 @dataclass(frozen=True)
 class Problem:
-    """A benchmark problem: box-bounded decision space, two objectives."""
+    """A benchmark problem: decision space in a finite box, two objectives."""
 
     name: str
     n_variables: int
@@ -45,14 +45,15 @@ class Problem:
         return 2
 
     def true_eval(self, x) -> np.ndarray:
-        """Exact objective values; rejects out-of-domain vectors."""
+        """Exact objective values; rejects out-of-domain vectors, NaN and
+        infinite components included (no comparison with a NaN holds)."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_variables,):
             raise ValueError(
                 f"domain-violation: {self.name} expects {self.n_variables} variables, "
                 f"got shape {x.shape}"
             )
-        if np.any(x < self.lower) or np.any(x > self.upper) or not np.all(np.isfinite(x)):
+        if not ((x >= self.lower) & (x <= self.upper)).all():
             raise ValueError(f"domain-violation: point outside the box bounds of {self.name}")
         return self._eval(x)
 
@@ -197,7 +198,7 @@ class NoiseModel:
     def draw(self, k: int, rng: np.random.Generator) -> np.ndarray:
         for _ in range(_REDRAW_CAP):
             eps = self._draw_once(k, rng)
-            if np.all(np.isfinite(eps)):
+            if np.isfinite(eps).all():
                 return eps
         raise RuntimeError(f"noise model {self.kind} produced non-finite draws {_REDRAW_CAP} times")
 

@@ -50,6 +50,11 @@ class Status(enum.IntEnum):
     DISCARDED = 2
 
 
+# Plain ints for the hot paths: an enum member costs a class-attribute
+# lookup through the enum machinery on every use.
+_RACING, _SELECTED, _DISCARDED = (int(member) for member in Status)
+
+
 class StopReason(enum.Enum):
     QUOTA_SELECTED = "quota_selected"
     QUOTA_DISCARDED = "quota_discarded"
@@ -99,7 +104,8 @@ class SelectionRace:
     least mu_rem racing peers. Decisions are evaluated in population-index
     order and re-applied until nothing changes; nothing is decided while
     lam_rem == mu_rem (a full quota of discards, handled by the caller)
-    or mu_rem == 0 (race over).
+    or mu_rem == 0 (race over). Every racer's lower bound is at most its
+    upper bound.
     """
 
     def __init__(self, size: int, mu: int, delta: float, range_width: float = 1.0) -> None:
@@ -114,28 +120,28 @@ class SelectionRace:
         self.delta = delta
         self.range_width = range_width
         self.iteration = 0
-        self.status = np.full(size, Status.RACING, dtype=int)
+        self.status = np.full(size, _RACING, dtype=int)
         self.t = np.zeros(size, dtype=int)
         self.s = np.zeros(size, dtype=int)
         self.lower = np.zeros(size)
         self.upper = np.ones(size)
 
     def racing_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.status == Status.RACING)
+        return np.flatnonzero(self.status == _RACING)
 
     def selected_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.status == Status.SELECTED)
+        return np.flatnonzero(self.status == _SELECTED)
 
     def discarded_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.status == Status.DISCARDED)
+        return np.flatnonzero(self.status == _DISCARDED)
 
     @property
     def n_selected(self) -> int:
-        return int(np.count_nonzero(self.status == Status.SELECTED))
+        return int(np.count_nonzero(self.status == _SELECTED))
 
     @property
     def n_discarded(self) -> int:
-        return int(np.count_nonzero(self.status == Status.DISCARDED))
+        return int(np.count_nonzero(self.status == _DISCARDED))
 
     @property
     def mu_remaining(self) -> int:
@@ -161,24 +167,48 @@ class SelectionRace:
         self._decide()
 
     def _decide(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for i in range(self.size):
-                if self.status[i] != Status.RACING:
-                    continue
-                racing = self.racing_indices()
-                mu_rem = self.mu_remaining
-                lam_rem = racing.size
-                if mu_rem == 0 or lam_rem == mu_rem:
-                    return
-                peers = racing[racing != i]
-                if np.count_nonzero(self.lower[i] > self.upper[peers]) >= lam_rem - mu_rem:
-                    self.status[i] = Status.SELECTED
-                    changed = True
-                elif np.count_nonzero(self.upper[i] < self.lower[peers]) >= mu_rem:
-                    self.status[i] = Status.DISCARDED
-                    changed = True
+        """Apply definite decisions one at a time in population-index order.
+
+        Each step counts every racer's beaten peers at once with
+        ``searchsorted`` on the sorted bounds of the racers (a racer never
+        beats itself, since its lower bound is at most its upper bound),
+        decides the first decidable racer at or after the sweep position
+        and drops it from the racers.
+
+        One sweep reaches the fixed point, since a decision never makes an
+        undecided racer i decidable. Selecting x keeps i's selection quota
+        and lowers its discard quota by one. If x lies above i, i's count
+        for that quota drops too; if not, the lam_rem - mu_rem peers below
+        x are not above i either, so at most mu_rem - 2 peers lie above i.
+        Discarding x is the mirror image.
+        """
+        racing = self.racing_indices()
+        if racing.size == 0:
+            return
+        lower = self.lower[racing]
+        upper = self.upper[racing]
+        # No strict comparison between two racers can succeed.
+        if lower.max() <= upper.min():
+            return
+        mu_rem = self.mu_remaining
+        position = 0
+        while mu_rem != 0 and racing.size != mu_rem:
+            lam_rem = racing.size
+            beats = np.searchsorted(np.sort(upper), lower, side="left")
+            beaten_by = lam_rem - np.searchsorted(np.sort(lower), upper, side="right")
+            select = beats >= lam_rem - mu_rem
+            decided = np.flatnonzero((select | (beaten_by >= mu_rem))[position:])
+            if decided.size == 0:
+                return
+            position += int(decided[0])
+            if select[position]:
+                self.status[racing[position]] = _SELECTED
+                mu_rem -= 1
+            else:
+                self.status[racing[position]] = _DISCARDED
+            racing = np.delete(racing, position)
+            lower = np.delete(lower, position)
+            upper = np.delete(upper, position)
 
     def proximity_sum(self) -> float:
         """Sum of |p_hat_i - p_hat_j| over all pairs still racing."""
@@ -197,7 +227,7 @@ class SelectionRace:
         return self.n_discarded == self.size - self.mu
 
     def select_remaining(self) -> None:
-        self.status[self.racing_indices()] = Status.SELECTED
+        self.status[self.racing_indices()] = _SELECTED
 
 
 @dataclass(frozen=True)
@@ -232,7 +262,13 @@ def _representative(ind: Individual, kind: EstimatorKind, rng: np.random.Generat
     draw = bootstrap_draw(ind.archive, rng)
     if kind is EstimatorKind.LAST:
         return draw
-    return estimator_value(np.vstack([ind.archive.as_array(), draw[None, :]]), kind)
+    return estimator_value(np.concatenate((ind.archive.as_array(), draw[None, :])), kind)
+
+
+def _modified(population: list[Individual]) -> np.ndarray:
+    """Bool mask of the individuals that need fresh samples."""
+    return np.fromiter((not ind.unchanged for ind in population), dtype=bool,
+                       count=len(population))
 
 
 def race_select(
@@ -269,18 +305,16 @@ def race_select(
     outcome: SelectionOutcome | None = None
     stop: StopReason | None = None
     iterations = 0
+    modified = _modified(population)
     for it in range(1, config.t_max + 1):
-        racing_mask = race.status == Status.RACING
-        needed = sum(
-            1 for i in range(lam) if racing_mask[i] and not population[i].unchanged
-        )
-        if not noisy.can_afford(needed):
+        fresh = modified & (race.status == _RACING)
+        if not noisy.can_afford(int(np.count_nonzero(fresh))):
             if outcome is None:
                 raise RuntimeError("budget cannot cover the first racing iteration")
             stop = StopReason.T_MAX
             break
-        for i, ind in enumerate(population):
-            if racing_mask[i] and not ind.unchanged:
+        for i, (ind, sample) in enumerate(zip(population, fresh.tolist())):
+            if sample:
                 ind.archive.append(noisy.evaluate(ind.genome, eval_rng))
                 reps[i] = ind.archive.estimate(config.estimator)
             else:
@@ -308,7 +342,7 @@ def race_select(
         mu_rem = race.mu_remaining
         if mu_rem > 0:
             sub = environmental_select(reps[racing], mu_rem)
-            race.status[racing[sub.selected]] = Status.SELECTED
+            race.status[racing[sub.selected]] = _SELECTED
     selected = race.selected_indices()
     return RaceResult(
         selected=selected,
@@ -336,12 +370,12 @@ def static_select(
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     evals_before = noisy.evaluations
-    needed = n_samples * sum(1 for ind in population if not ind.unchanged)
-    if not noisy.can_afford(needed):
+    modified = _modified(population)
+    if not noisy.can_afford(n_samples * int(np.count_nonzero(modified))):
         raise RuntimeError("budget cannot cover static resampling")
     reps = np.zeros((lam, noisy.problem.n_objectives))
-    for i, ind in enumerate(population):
-        if not ind.unchanged:
+    for i, (ind, sample) in enumerate(zip(population, modified.tolist())):
+        if sample:
             for _ in range(n_samples):
                 ind.archive.append(noisy.evaluate(ind.genome, eval_rng))
         reps[i] = ind.archive.estimate(estimator)

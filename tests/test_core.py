@@ -108,6 +108,74 @@ def test_archive_copy_is_independent():
     dup.append(np.array([2.0, 2.0]))
     assert len(arch) == 1
     assert len(dup) == 2
+    arch.append(np.array([3.0, 3.0]))
+    np.testing.assert_array_equal(arch.as_array(), [[1.0, 1.0], [3.0, 3.0]])
+    np.testing.assert_array_equal(dup.as_array(), [[1.0, 1.0], [2.0, 2.0]])
+
+
+def test_archive_grows_past_its_first_buffer():
+    rows = np.arange(100.0).reshape(50, 2)
+    arch = SampleArchive()
+    for count, row in enumerate(rows, start=1):
+        arch.append(row)
+        assert len(arch) == count
+        np.testing.assert_array_equal(arch.as_array(), rows[:count])
+
+
+def test_archive_as_array_is_read_only():
+    arch = SampleArchive([(1.0, 2.0)])
+    rows = arch.as_array()
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 5.0
+    # A view handed out earlier still shows the rows it covered.
+    arch.append(np.array([3.0, 4.0]))
+    np.testing.assert_array_equal(rows, [[1.0, 2.0]])
+    np.testing.assert_array_equal(arch.as_array(), [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_archive_rejects_a_non_finite_point(bad):
+    arch = SampleArchive([(1.0, 2.0)])
+    with pytest.raises(ValueError, match="finite"):
+        arch.append(np.array([0.5, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        SampleArchive().append([bad, 0.5])
+    assert len(arch) == 1
+
+
+def test_archive_rejects_a_point_of_another_length():
+    arch = SampleArchive([(1.0, 2.0)])
+    with pytest.raises(ValueError, match="3 values, the archive holds 2"):
+        arch.append(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="1 values, the archive holds 2"):
+        arch.append(np.array([1.0]))
+    assert len(arch) == 1
+
+
+def test_sort_median_equals_np_median_bit_for_bit():
+    rng = np.random.default_rng(17)
+    tiny = np.nextafter(0.0, 1.0)
+    pools = (
+        np.array([-0.0, 0.0, 1.0, -1.0]),
+        np.array([-0.0, 0.0, tiny, -tiny, 3 * tiny, 0.5, -2.5]),
+    )
+    seen = set()
+    for trial in range(6000):
+        n = int(rng.integers(1, 41))
+        k = int(rng.integers(1, 4))
+        style = trial % 4
+        if style == 0:
+            rows = rng.normal(size=(n, k))
+        elif style == 1:
+            rows = rng.integers(-3, 4, size=(n, k)).astype(float)
+        else:
+            rows = rng.choice(pools[style - 2], size=(n, k))
+        got = estimator_value(rows, EstimatorKind.MEDIAN)
+        want = np.median(rows, axis=0)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), rows
+        seen.add(n % 2)
+    assert seen == {0, 1}
 
 
 def test_individual_unchanged_requires_history():

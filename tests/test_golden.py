@@ -7,19 +7,26 @@ moves one float in a run file, in ``summary.csv`` or in
 zdt1 with population 10 and 300 evaluations, five seeds each, so the
 significance table has rows. After a declared result change, print the
 new digests with ``PYTHONPATH=src python tests/test_golden.py``.
+
+That set stops at confidence 0.75 and budget 3, where the Hoeffding
+radius never gets small enough for a race to decide anything. A second
+set races at confidence 0.25 with budget 8, where races decide thousands
+of individuals, so the bytes also pin every decision the race makes.
 """
 from __future__ import annotations
 
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from raceopt.harness import ExperimentConfig, run_batch
 from raceopt.problems import NOISE_NAMES
-from raceopt.racing import ALGORITHM_IDS
+from raceopt.racing import ALGORITHM_IDS, SelectionRace, Status
 
 SEEDS = (0, 1, 2, 3, 4)
+RACE_IDS = tuple(a for a in ALGORITHM_IDS if a.startswith("rsp"))
 
 
 def golden_configs() -> list[ExperimentConfig]:
@@ -39,16 +46,33 @@ def golden_configs() -> list[ExperimentConfig]:
     ]
 
 
+def decide_configs() -> list[ExperimentConfig]:
+    return [
+        ExperimentConfig(
+            "zdt1",
+            noise,
+            algorithm,
+            sampling_budget=8,
+            confidence=0.25,
+            population_size=10,
+            max_evaluations=600,
+            seeds=SEEDS,
+        )
+        for algorithm in RACE_IDS
+        for noise in NOISE_NAMES
+    ]
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def output_digests(out: Path) -> dict[str, str]:
+def output_digests(out: Path, configs: list[ExperimentConfig]) -> dict[str, str]:
     """Per (algorithm, noise): a digest over its seeds' run-file digests;
     plus the digests of the two scored tables."""
-    run_batch(golden_configs(), out)
+    run_batch(configs, out)
     digests: dict[str, str] = {}
-    for cfg in golden_configs():
+    for cfg in configs:
         joined = "".join(_sha256(out / "runs" / cfg.run_filename(s)) for s in SEEDS)
         digests[f"{cfg.algorithm}/{cfg.noise}"] = hashlib.sha256(joined.encode()).hexdigest()
     for table in ("summary.csv", "significance.csv"):
@@ -88,9 +112,53 @@ GOLDEN = {
 }
 
 
+# Generated from the program before the array-backed race core; it had
+# to leave them unchanged. The set makes this many Hoeffding decisions.
+DECIDE_GOLDEN = {
+    "rsp-i/none": "1a748fc6abecea2f8429049887321f379ecc6dfde8f6452bc577f0cb34b7413e",
+    "rsp-i/gaussian": "d548ef114f510acae4f3633e748df8adeb52062daa63f31e5c743882d38003e6",
+    "rsp-i/cauchy": "7b942324d69bee153d22033680fcc8b4008fcf577875525fcd83bdf5e853f1e7",
+    "rsp-i/gumbel": "b68f87cbc27874ea9c71428f0059b41361673b14ed20c93527671f03ec338d2a",
+    "rsp-avg/none": "b8951acf3404f01701865c288b8c97ee2bac5d96371e02e0e4faf858c5af8920",
+    "rsp-avg/gaussian": "66c65f2dc894d6adf387d75c38a25dab32ab97ef8df1243b11a9c165c46b5d60",
+    "rsp-avg/cauchy": "2b02028bd0bcea7814c13c599eada5fe2c1e7729e8c2e9bc2927580659d49331",
+    "rsp-avg/gumbel": "8cbc41f179990a14c411900a6fd7bf295598e6ff639b924a558d90e036d300cf",
+    "rsp-med/none": "a51864b7b9ac992c98b6b5fe3c8b2d086e37e1bc7403b78275f664c0cefdd0df",
+    "rsp-med/gaussian": "a30166f52de179d49a3ab429ac9b3f74e2f393f795fac65a6ed681f16cad84b5",
+    "rsp-med/cauchy": "e54fc92e07ae970b15e0fff40de9ec54948ddfccd28689ae9fe0b5a01bc0c86c",
+    "rsp-med/gumbel": "6302684c89ec4f3ed177e256ec5b390d379c4b1face48f632cdb8884773f83d5",
+    "summary.csv": "21cf5b69e45645ec2c9d151a613f07113777b02bd1a96e8e46e305ded13c5d72",
+    "significance.csv": "a3b7d919318eed057d8c0189510cf464c08de96433adfc779a37ccb2b81fc2f9",
+}
+DECIDE_DECISIONS = 5316
+
+
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory) -> dict[str, str]:
-    return output_digests(tmp_path_factory.mktemp("golden"))
+    return output_digests(tmp_path_factory.mktemp("golden"), golden_configs())
+
+
+def counted_decide_digests(out: Path) -> tuple[dict[str, str], int]:
+    """The decide set's digests, plus the individuals that ``record``
+    took out of the race: the race's own decisions, not its fill-ins."""
+    decided = 0
+    record = SelectionRace.record
+
+    def counting(race, chosen):
+        nonlocal decided
+        before = int(np.count_nonzero(race.status == Status.RACING))
+        record(race, chosen)
+        decided += before - int(np.count_nonzero(race.status == Status.RACING))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SelectionRace, "record", counting)
+        digests = output_digests(out, decide_configs())
+    return digests, decided
+
+
+@pytest.fixture(scope="module")
+def decide(tmp_path_factory) -> tuple[dict[str, str], int]:
+    return counted_decide_digests(tmp_path_factory.mktemp("decide"))
 
 
 def test_golden_set_covers_every_algorithm_and_noise():
@@ -107,9 +175,32 @@ def test_golden_digests_cover_every_output(digests):
     assert set(digests) == set(GOLDEN)
 
 
+def test_decide_set_covers_every_race_and_noise():
+    pairs = {(cfg.algorithm, cfg.noise) for cfg in decide_configs()}
+    assert pairs == {(a, n) for a in RACE_IDS for n in NOISE_NAMES}
+
+
+@pytest.mark.parametrize("name", sorted(DECIDE_GOLDEN))
+def test_decide_bytes_match_golden_digest(decide, name):
+    assert decide[0][name] == DECIDE_GOLDEN[name]
+
+
+def test_decide_digests_cover_every_output(decide):
+    assert set(decide[0]) == set(DECIDE_GOLDEN)
+
+
+def test_decide_set_races_decide(decide):
+    assert decide[1] == DECIDE_DECISIONS > 0
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for key, value in output_digests(Path(tmp)).items():
+        for key, value in output_digests(Path(tmp), golden_configs()).items():
             print(f'    "{key}": "{value}",')
+    with tempfile.TemporaryDirectory() as tmp:
+        found, decided = counted_decide_digests(Path(tmp))
+        for key, value in found.items():
+            print(f'    "{key}": "{value}",')
+        print(f"DECIDE_DECISIONS = {decided}")

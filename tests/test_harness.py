@@ -468,6 +468,16 @@ def test_expand_grid_names_a_non_integer_budget():
         expand_grid(grid)
 
 
+def test_expand_grid_lower_cases_algorithm_ids():
+    lower = parse_grid(GRID)
+    mixed = parse_grid(GRID.replace("algorithms = implicit, static-avg, rsp-i",
+                                    "algorithms = IMPLICIT, Static-Avg, RSP-i"))
+    assert mixed["algorithms"] != lower["algorithms"]
+    assert expand_grid(mixed) == expand_grid(lower)
+    # Implicit needs no budgets, whatever its spelling.
+    assert expand_grid({"problems": ["zdt1"], "noises": ["none"], "algorithms": ["IMPLICIT"]})
+
+
 def test_parse_grid_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown grid key"):
         parse_grid("flavor = vanilla\n")
@@ -562,6 +572,19 @@ def test_cli_run_and_score_and_boxplot(tmp_path, capsys):
     box = tmp_path / "box.csv"
     assert cli_main(["boxplot", "--in", str(summary), "--out", str(box)]) == 0
     assert box.is_file()
+
+
+def test_cli_run_lower_cases_the_algorithm_id(tmp_path, capsys):
+    common = ["run", "--problem", "zdt1", "--noise", "none", "--pop", "8",
+              "--evals", "60", "--seed", "0"]
+    lower, upper = tmp_path / "lower.csv", tmp_path / "upper.csv"
+    assert cli_main(common + ["--algo", "implicit", "--out", str(lower)]) == 0
+    assert cli_main(common + ["--algo", "IMPLICIT", "--out", str(upper)]) == 0
+    assert upper.read_bytes() == lower.read_bytes()
+    capsys.readouterr()
+    code = cli_main(common + ["--algo", "RSP-Med", "--budget", "3", "--out", str(upper)])
+    assert code == 2
+    assert "--confidence is required for algorithm 'rsp-med'" in capsys.readouterr().err
 
 
 def test_cli_batch(tmp_path):

@@ -171,6 +171,73 @@ def test_race_decisions_are_definite_on_synthetic_bernoulli_streams():
     assert wrong <= 10
 
 
+def _decide_loop(race: SelectionRace) -> None:
+    """The decision pass as a plain loop, kept as the oracle for
+    ``SelectionRace._decide``: population-index order, re-applied until a
+    pass decides nothing, each racer compared with every racing peer."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(race.size):
+            if race.status[i] != Status.RACING:
+                continue
+            racing = race.racing_indices()
+            mu_rem = race.mu_remaining
+            lam_rem = racing.size
+            if mu_rem == 0 or lam_rem == mu_rem:
+                return
+            peers = racing[racing != i]
+            if np.count_nonzero(race.lower[i] > race.upper[peers]) >= lam_rem - mu_rem:
+                race.status[i] = Status.SELECTED
+                changed = True
+            elif np.count_nonzero(race.upper[i] < race.lower[peers]) >= mu_rem:
+                race.status[i] = Status.DISCARDED
+                changed = True
+
+
+def _random_bounds(rng, size):
+    """Valid bounds (lower <= upper) with many ties: either Hoeffding
+    intervals around p-hats of a common iteration, clipped to [0, 1] as
+    ``record`` clips them, or intervals on a coarse grid."""
+    if rng.random() < 0.5:
+        t = int(rng.integers(1, 12))
+        p = rng.integers(0, t + 1, size=size) / t
+        radius = hoeffding_radius(t, float(rng.choice([0.05, 0.25, 0.5, 0.75])))
+        return np.maximum(0.0, p - radius), np.minimum(1.0, p + radius)
+    steps = int(rng.integers(2, 9))
+    lower = rng.integers(0, steps + 1, size=size) / steps
+    width = rng.integers(0, steps + 1, size=size) / steps
+    return lower, np.minimum(1.0, lower + width)
+
+
+def test_vectorised_decide_matches_the_index_order_loop():
+    rng = np.random.default_rng(46)
+    decided = 0
+    for size in range(2, 81):
+        for mu in range(1, size):
+            # Some racers may already be decided, within the quotas a race
+            # can reach: at most mu selected, at most size - mu discarded.
+            n_sel = int(rng.integers(0, mu + 1)) if rng.random() < 0.3 else 0
+            n_dis = int(rng.integers(0, size - mu + 1)) if rng.random() < 0.3 else 0
+            status = np.full(size, int(Status.RACING))
+            order = rng.permutation(size)
+            status[order[:n_sel]] = Status.SELECTED
+            status[order[n_sel:n_sel + n_dis]] = Status.DISCARDED
+            lower, upper = _random_bounds(rng, size)
+            races = []
+            for _ in range(2):
+                race = SelectionRace(size, mu, 0.25)
+                race.status[:] = status
+                race.lower[:] = lower
+                race.upper[:] = upper
+                races.append(race)
+            races[0]._decide()
+            _decide_loop(races[1])
+            np.testing.assert_array_equal(races[0].status, races[1].status)
+            decided += int(np.count_nonzero(races[0].status != status))
+    assert decided > 1000
+
+
 # ---------------------------------------------------------------------------
 # bootstrap representatives
 
