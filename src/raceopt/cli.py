@@ -92,6 +92,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    if args.front_resolution < 2:
+        raise ConfigError(f"--front-resolution must be at least 2, got {args.front_resolution}")
     out = Path(args.out)
     significance = out.with_name(out.stem + "_significance" + out.suffix)
     score_runs(args.source, out, significance, front_resolution=args.front_resolution)

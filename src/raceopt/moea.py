@@ -135,80 +135,78 @@ def binary_tournament(outcome: SelectionOutcome, rng: np.random.Generator) -> in
     return i if rng.random() < 0.5 else j
 
 
-def sbx_crossover(
-    parent_a,
-    parent_b,
-    lower,
-    upper,
-    eta: float = 20.0,
-    crossover_prob: float = 1.0,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover with per-coordinate exchange gates.
+def sbx_crossover(parents, lower, upper, crossed, uniforms, eta: float = 20.0) -> np.ndarray:
+    """Simulated binary crossover over a batch of mating pairs.
 
-    Each coordinate pair is recombined with probability 0.5 (given the
-    pair-level gate fires) using a shared spread factor drawn from the
-    polynomial spread distribution with index ``eta``. Recombined
-    coordinates are ordered: the first child takes the lower mix and the
-    second the upper mix, so one child contracts toward the coordinate-wise
-    minimum and the other toward the maximum. Children are clipped to the
-    box bounds; before clipping each coordinate pair preserves the
-    parents' sum.
+    ``parents`` has shape (pairs, 2, n). ``crossed[p]`` says whether pair
+    p's pair-level gate fired, and ``uniforms[p]`` holds that pair's 2n
+    uniforms in draw order: n exchange draws, then n spread draws. A
+    coordinate is recombined when its exchange draw is at most 0.5, using
+    a spread factor from the polynomial spread distribution with index
+    ``eta``. Recombined coordinates are ordered: the first child takes the
+    lower mix and the second the upper mix, so one child contracts toward
+    the coordinate-wise minimum and the other toward the maximum; before
+    clipping each such pair preserves the parents' sum. Children of crossed
+    pairs are clipped to the box; uncrossed pairs are copied and their
+    uniforms are ignored. Returns the children as a new (pairs, 2, n) array.
+
+    Only recombined coordinates are computed, and every power is an array
+    ufunc: a Python float or numpy scalar power can differ from it in the
+    last bit, which would change run files.
     """
-    if rng is None:
-        raise ValueError("rng is required")
-    a = np.asarray(parent_a, dtype=float)
-    b = np.asarray(parent_b, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    child_a = a.copy()
-    child_b = b.copy()
-    if rng.random() >= crossover_prob:
-        return child_a, child_b
-    n = a.size
-    exchange = rng.random(n) <= 0.5
-    u = rng.random(n)
-    beta = np.where(
-        u <= 0.5,
-        (2.0 * u) ** (1.0 / (eta + 1.0)),
-        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)),
-    )
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * beta * (hi - lo)
-    child_a = np.where(exchange, mid - half, a)
-    child_b = np.where(exchange, mid + half, b)
-    np.clip(child_a, lower, upper, out=child_a)
-    np.clip(child_b, lower, upper, out=child_b)
-    return child_a, child_b
+    parents = np.asarray(parents, dtype=float)
+    crossed = np.asarray(crossed, dtype=bool)
+    uniforms = np.asarray(uniforms, dtype=float)
+    children = parents.copy()
+    pair, col = np.nonzero((uniforms[:, 0] <= 0.5) & crossed[:, None])
+    if pair.size:
+        a = parents[pair, 0, col]
+        b = parents[pair, 1, col]
+        u = uniforms[pair, 1, col]
+        beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * beta * (hi - lo)
+        children[pair, 0, col] = mid - half
+        children[pair, 1, col] = mid + half
+    np.clip(children, lower, upper, out=children, where=crossed[:, None, None])
+    return children
 
 
 def polynomial_mutation(
-    x,
-    lower,
-    upper,
-    eta: float = 20.0,
-    mutation_prob: float | None = None,
-    rng: np.random.Generator | None = None,
+    x, lower, upper, uniforms, eta: float = 20.0, mutation_prob: float | None = None
 ) -> np.ndarray:
-    """Bounded polynomial mutation; default rate is 1/n per coordinate."""
-    if rng is None:
-        raise ValueError("rng is required")
+    """Bounded polynomial mutation over a batch of genomes.
+
+    ``x`` has shape (..., n) and ``uniforms`` shape (..., 2, n): for each
+    genome, n gate draws, then n spread draws. A coordinate mutates when
+    its gate draw is below ``mutation_prob`` (default 1/n); only those
+    coordinates are computed, and each is clipped to the box. Returns the
+    mutated genomes as a new array.
+    """
     x = np.asarray(x, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    n = x.size
+    uniforms = np.asarray(uniforms, dtype=float)
+    n = x.shape[-1]
     if mutation_prob is None:
         mutation_prob = 1.0 / n
-    gate = rng.random(n) < mutation_prob
-    u = rng.random(n)
+    out = x.copy()
+    gated = np.nonzero(uniforms[..., 0, :] < mutation_prob)
+    if gated[0].size == 0:
+        return out
+    col = gated[-1]
+    lower = np.asarray(lower, dtype=float)[col]
+    upper = np.asarray(upper, dtype=float)[col]
+    xs = x[gated]
+    u = uniforms[..., 1, :][gated]
     span = upper - lower
-    d_lo = (x - lower) / span
-    d_hi = (upper - x) / span
-    exp = 1.0 / (eta + 1.0)
-    low_branch = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d_lo) ** (eta + 1.0)) ** exp - 1.0
-    high_branch = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d_hi) ** (eta + 1.0)) ** exp
-    delta = np.where(u <= 0.5, low_branch, high_branch)
-    mutated = np.clip(x + delta * span, lower, upper)
-    return np.where(gate, mutated, x)
+    low = u <= 0.5
+    # Each coordinate raises only the base of the branch it keeps, with
+    # array powers as in sbx_crossover, so every float equals the one an
+    # evaluation of both branches over the whole vector would keep.
+    y = np.where(low, 1.0 - (xs - lower) / span, 1.0 - (upper - xs) / span) ** (eta + 1.0)
+    base = np.where(low, 2.0 * u + (1.0 - 2.0 * u) * y, 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * y)
+    root = base ** (1.0 / (eta + 1.0))
+    delta = np.where(low, root - 1.0, 1.0 - root)
+    out[gated] = np.clip(xs + delta * span, lower, upper)
+    return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EstimatorKind, Individual, SampleArchive, estimator_value
+from .core import EstimatorKind, Individual, estimator_value
 from .moea import (
     SelectionOutcome,
     binary_tournament,
@@ -486,15 +486,53 @@ def make_selector(
     return Selector(algorithm, estimator, sampling_budget, race)
 
 
-def _child(genome: np.ndarray, parents: tuple[Individual, Individual]) -> Individual:
-    """Wrap an offspring genome; clones of a parent inherit its archive and
-    its ``unchanged`` flag, so a clone of a short-archive parent is sampled
-    as new too."""
-    for parent in parents:
-        if np.array_equal(genome, parent.genome):
-            archive = parent.archive.copy()
-            return Individual(genome.copy(), archive, unchanged=parent.unchanged)
-    return Individual(genome, SampleArchive(), unchanged=False)
+# SBX pair gate: a pair is crossed when its gate draw is below this.
+_CROSSOVER_PROB = 1.0
+
+
+def _offspring(
+    parents: list[Individual], mating: SelectionOutcome, lower, upper, rng: np.random.Generator
+) -> list[Individual]:
+    """mu offspring from ceil(mu / 2) mating pairs, in two passes.
+
+    The draw pass makes every random draw of the generation, pair by pair:
+    two tournaments, the SBX pair gate, the 2n SBX uniforms when the gate
+    fires, then the gate and spread uniforms of each child's mutation. The
+    arithmetic pass runs SBX and mutation once over all pairs. With an odd
+    mu the last pair's second child is drawn and mutated, then dropped.
+
+    A child equal to a parent of its pair (parent a first) is a clone: it
+    inherits that parent's archive and ``unchanged`` flag, so a clone of a
+    short-archive parent is sampled as new too.
+    """
+    mu = len(parents)
+    pairs = (mu + 1) // 2
+    n = parents[0].genome.size
+    # Per pair: SBX exchange and spread, then (gate, spread) of each child.
+    uniforms = np.empty((pairs, 6, n))
+    mates, crossed = [], []
+    for row in uniforms:
+        mates.append((binary_tournament(mating, rng), binary_tournament(mating, rng)))
+        crossed.append(rng.random() < _CROSSOVER_PROB)
+        rng.random(out=row if crossed[-1] else row[2:])
+    mates = np.array(mates)
+    genomes = np.array([parent.genome for parent in parents])[mates]
+    children = sbx_crossover(genomes, lower, upper, np.array(crossed), uniforms[:, :2])
+    children = polynomial_mutation(
+        children, lower, upper, uniforms[:, 2:].reshape(pairs, 2, 2, n)
+    )
+    # same[p, c, j]: child c of pair p equals parent j of that pair.
+    same = (children[:, :, None] == genomes[:, None]).all(axis=-1)
+    # Index of the parent each child clones, or -1.
+    source = np.where(same[..., 0], mates[:, :1], np.where(same[..., 1], mates[:, 1:], -1))
+    offspring: list[Individual] = []
+    for genome, i in zip(children.reshape(2 * pairs, n)[:mu], source.ravel().tolist()):
+        if i < 0:
+            offspring.append(Individual(genome))
+        else:
+            parent = parents[i]
+            offspring.append(Individual(genome, parent.archive.copy(), parent.unchanged))
+    return offspring
 
 
 def nsga2_generation(
@@ -505,10 +543,6 @@ def nsga2_generation(
     variation_rng: np.random.Generator,
     eval_rng: np.random.Generator,
     boot_rng: np.random.Generator,
-    sbx_eta: float = 20.0,
-    crossover_prob: float = 1.0,
-    mutation_eta: float = 20.0,
-    mutation_prob: float | None = None,
 ) -> tuple[list[Individual], SelectionOutcome, RaceResult]:
     """One (mu + mu) NSGA-II generation under the given selection strategy.
 
@@ -528,24 +562,7 @@ def nsga2_generation(
     problem = noisy.problem
     for parent in parents:
         parent.unchanged = selector.holds_enough(parent)
-    offspring: list[Individual] = []
-    while len(offspring) < mu_pop:
-        ia = binary_tournament(mating, variation_rng)
-        ib = binary_tournament(mating, variation_rng)
-        ga, gb = parents[ia].genome, parents[ib].genome
-        ca, cb = sbx_crossover(
-            ga, gb, problem.lower, problem.upper, sbx_eta, crossover_prob, variation_rng
-        )
-        ca = polynomial_mutation(
-            ca, problem.lower, problem.upper, mutation_eta, mutation_prob, variation_rng
-        )
-        cb = polynomial_mutation(
-            cb, problem.lower, problem.upper, mutation_eta, mutation_prob, variation_rng
-        )
-        pair = (parents[ia], parents[ib])
-        offspring.append(_child(ca, pair))
-        if len(offspring) < mu_pop:
-            offspring.append(_child(cb, pair))
+    offspring = _offspring(parents, mating, problem.lower, problem.upper, variation_rng)
     pool = list(parents) + offspring
     result = selector.select(pool, mu_pop, noisy, eval_rng, boot_rng)
     survivors = [pool[i] for i in result.selected]

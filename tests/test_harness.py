@@ -632,6 +632,19 @@ def test_cli_malformed_inputs_exit_2_naming_the_culprit(tmp_path, capsys):
     assert "budgets" in capsys.readouterr().err
 
 
+def test_cli_score_rejects_a_front_resolution_below_two(tmp_path, capsys):
+    path, _ = _written_run(tmp_path)
+    summary = tmp_path / "summary.csv"
+    for value in ("1", "0", "-4"):
+        code = cli_main(["score", "--in", str(path), "--out", str(summary),
+                         "--front-resolution", value])
+        assert code == 2
+        assert f"--front-resolution must be at least 2, got {value}" in capsys.readouterr().err
+    assert not summary.exists()
+    assert cli_main(["score", "--in", str(path), "--out", str(summary),
+                     "--front-resolution", "2"]) == 0
+
+
 def test_cli_run_file_missing_a_meta_key_exits_2_naming_file_and_key(tmp_path, capsys):
     path, lines = _written_run(tmp_path)
     summary = tmp_path / "summary.csv"

@@ -17,22 +17,6 @@ from raceopt.moea import (
 from raceopt.problems import PROBLEM_NAMES, make_problem
 
 
-class _ScriptedRng:
-    """Stand-in generator replaying a fixed sequence of random() results."""
-
-    def __init__(self, values):
-        self._values = list(values)
-
-    def random(self, size=None):
-        v = self._values.pop(0)
-        if size is None:
-            return float(v)
-        arr = np.asarray(v, dtype=float)
-        if arr.ndim == 0:
-            return np.full(size, float(arr))
-        return arr
-
-
 def _brute_force_fronts(points):
     pts = [tuple(p) for p in points]
     n = len(pts)
@@ -216,21 +200,36 @@ def test_tournament_singleton_pool():
 # simulated binary crossover
 
 
+def _pairs(a, b):
+    """Stack parent vectors (or batches of them) into a (pairs, 2, n) array."""
+    return np.stack([np.atleast_2d(a), np.atleast_2d(b)], axis=1)
+
+
+def _crossed_children(a, b, lower, upper, rng):
+    """Cross every pair, drawing its exchange and spread uniforms from rng."""
+    parents = _pairs(a, b)
+    uniforms = rng.random((parents.shape[0], 2, parents.shape[-1]))
+    crossed = np.ones(parents.shape[0], dtype=bool)
+    children = sbx_crossover(parents, lower, upper, crossed, uniforms)
+    return children[:, 0], children[:, 1]
+
+
 def test_sbx_identical_parents_yield_identical_children():
     p = np.full(8, 0.4)
-    c1, c2 = sbx_crossover(p, p, np.zeros(8), np.ones(8), rng=make_rng(5))
-    np.testing.assert_array_equal(c1, p)
-    np.testing.assert_array_equal(c2, p)
+    c1, c2 = _crossed_children(p, p, np.zeros(8), np.ones(8), make_rng(5))
+    np.testing.assert_array_equal(c1[0], p)
+    np.testing.assert_array_equal(c2[0], p)
 
 
 def test_sbx_at_u_half_reproduces_parent_coordinates():
-    # gate draw 0.0 fires the pair-level gate, exchange mask all on,
+    # The pair is crossed, exchange draws 0.0 recombine every coordinate,
     # spread u = 0.5 gives beta = 1, so children land exactly on the
     # parents' coordinate-wise min and max.
     a = np.array([0.1, 0.9, 0.5])
     b = np.array([0.7, 0.2, 0.5])
-    rng = _ScriptedRng([0.0, 0.0, 0.5])
-    c1, c2 = sbx_crossover(a, b, np.zeros(3), np.ones(3), rng=rng)
+    uniforms = np.array([[np.zeros(3), np.full(3, 0.5)]])
+    children = sbx_crossover(_pairs(a, b), np.zeros(3), np.ones(3), [True], uniforms)
+    c1, c2 = children[0]
     np.testing.assert_allclose(c1, np.minimum(a, b), atol=1e-12)
     np.testing.assert_allclose(c2, np.maximum(a, b), atol=1e-12)
     got = np.sort(np.vstack([c1, c2]), axis=0)
@@ -238,26 +237,38 @@ def test_sbx_at_u_half_reproduces_parent_coordinates():
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def test_sbx_recombines_a_coordinate_whose_exchange_draw_is_one_half():
+    a = np.array([0.1, 0.1])
+    b = np.array([0.7, 0.7])
+    uniforms = np.array([[[0.5, np.nextafter(0.5, 1.0)], [0.25, 0.25]]])
+    c1, c2 = sbx_crossover(_pairs(a, b), np.zeros(2), np.ones(2), [True], uniforms)[0]
+    assert 0.1 < c1[0] < c2[0] < 0.7
+    assert c1[1] == 0.1 and c2[1] == 0.7
+
+
 def test_sbx_gate_off_returns_parent_copies():
     a = np.array([0.1, 0.9])
     b = np.array([0.7, 0.2])
-    rng = _ScriptedRng([0.99])
-    c1, c2 = sbx_crossover(a, b, np.zeros(2), np.ones(2), crossover_prob=0.5, rng=rng)
+    parents = _pairs(a, b)
+    # an uncrossed pair's uniforms are ignored
+    uniforms = np.full((1, 2, 2), np.nan)
+    children = sbx_crossover(parents, np.zeros(2), np.ones(2), [False], uniforms)
+    c1, c2 = children[0]
     np.testing.assert_array_equal(c1, a)
     np.testing.assert_array_equal(c2, b)
     c1[0] = -1.0
     assert a[0] == 0.1  # children are copies, not views
+    assert parents[0, 0, 0] == 0.1
 
 
 def test_sbx_preserves_the_parent_sum_before_clipping():
     rng = make_rng(6)
     lower = np.full(5, -50.0)
     upper = np.full(5, 51.0)
-    for _ in range(10_000):
-        a = rng.random(5)
-        b = rng.random(5)
-        c1, c2 = sbx_crossover(a, b, lower, upper, rng=rng)
-        np.testing.assert_allclose(c1 + c2, a + b, atol=1e-12)
+    a = rng.random((10_000, 5))
+    b = rng.random((10_000, 5))
+    c1, c2 = _crossed_children(a, b, lower, upper, rng)
+    np.testing.assert_allclose(c1 + c2, a + b, atol=1e-12)
 
 
 def test_sbx_children_respect_problem_bounds():
@@ -265,39 +276,52 @@ def test_sbx_children_respect_problem_bounds():
     for name in PROBLEM_NAMES:
         p = make_problem(name)
         span = p.upper - p.lower
-        for _ in range(2000):
-            a = p.lower + rng.random(p.n_variables) * span
-            b = p.lower + rng.random(p.n_variables) * span
-            c1, c2 = sbx_crossover(a, b, p.lower, p.upper, rng=rng)
-            assert np.all(c1 >= p.lower) and np.all(c1 <= p.upper)
-            assert np.all(c2 >= p.lower) and np.all(c2 <= p.upper)
+        a = p.lower + rng.random((2000, p.n_variables)) * span
+        b = p.lower + rng.random((2000, p.n_variables)) * span
+        c1, c2 = _crossed_children(a, b, p.lower, p.upper, rng)
+        assert np.all(c1 >= p.lower) and np.all(c1 <= p.upper)
+        assert np.all(c2 >= p.lower) and np.all(c2 <= p.upper)
 
 
 # ---------------------------------------------------------------------------
 # polynomial mutation
 
 
+def _mutated(x, lower, upper, rng, mutation_prob=None):
+    """Mutate every row of x, drawing its gate and spread uniforms from rng."""
+    x = np.atleast_2d(x)
+    uniforms = rng.random((x.shape[0], 2, x.shape[-1]))
+    return polynomial_mutation(x, lower, upper, uniforms, mutation_prob=mutation_prob)
+
+
 def test_mutation_rate_zero_is_identity():
     x = np.linspace(0.0, 1.0, 7)
-    out = polynomial_mutation(x, np.zeros(7), np.ones(7), mutation_prob=0.0, rng=make_rng(8))
-    np.testing.assert_array_equal(out, x)
+    out = _mutated(x, np.zeros(7), np.ones(7), make_rng(8), mutation_prob=0.0)
+    np.testing.assert_array_equal(out[0], x)
 
 
 def test_mutation_at_u_half_moves_nothing():
     x = np.array([0.2, 0.8])
-    rng = _ScriptedRng([0.0, 0.5])  # gate always fires, u = 0.5 means delta 0
-    out = polynomial_mutation(x, np.zeros(2), np.ones(2), mutation_prob=1.0, rng=rng)
+    uniforms = np.array([np.zeros(2), np.full(2, 0.5)])  # gate always fires, u = 0.5 means delta 0
+    out = polynomial_mutation(x, np.zeros(2), np.ones(2), uniforms, mutation_prob=1.0)
     np.testing.assert_allclose(out, x, atol=1e-15)
+
+
+def test_mutation_gate_draw_equal_to_the_rate_does_not_mutate():
+    x = np.array([0.2, 0.2])
+    uniforms = np.array([[0.5, np.nextafter(0.5, 0.0)], [0.25, 0.25]])
+    out = polynomial_mutation(x, np.zeros(2), np.ones(2), uniforms, mutation_prob=0.5)
+    assert out[0] == 0.2
+    assert out[1] < 0.2
 
 
 def test_mutation_from_a_bound_stays_feasible():
     rng = make_rng(9)
     lower = np.zeros(4)
     upper = np.ones(4)
-    x = np.array([0.0, 1.0, 0.0, 1.0])
-    for _ in range(2000):
-        out = polynomial_mutation(x, lower, upper, mutation_prob=1.0, rng=rng)
-        assert np.all(out >= lower) and np.all(out <= upper)
+    x = np.tile([0.0, 1.0, 0.0, 1.0], (2000, 1))
+    out = _mutated(x, lower, upper, rng, mutation_prob=1.0)
+    assert np.all(out >= lower) and np.all(out <= upper)
 
 
 def test_mutation_respects_problem_bounds():
@@ -305,20 +329,17 @@ def test_mutation_respects_problem_bounds():
     for name in PROBLEM_NAMES:
         p = make_problem(name)
         span = p.upper - p.lower
-        for _ in range(2000):
-            x = p.lower + rng.random(p.n_variables) * span
-            out = polynomial_mutation(x, p.lower, p.upper, mutation_prob=1.0, rng=rng)
-            assert np.all(out >= p.lower) and np.all(out <= p.upper)
+        x = p.lower + rng.random((2000, p.n_variables)) * span
+        out = _mutated(x, p.lower, p.upper, rng, mutation_prob=1.0)
+        assert np.all(out >= p.lower) and np.all(out <= p.upper)
 
 
 def test_mutation_default_rate_touches_one_coordinate_on_average():
     rng = make_rng(11)
     n = 30
     x = np.full(n, 0.5)
-    changed = 0
     trials = 2000
-    for _ in range(trials):
-        out = polynomial_mutation(x, np.zeros(n), np.ones(n), rng=rng)
-        changed += int((out != x).sum())
+    out = _mutated(np.tile(x, (trials, 1)), np.zeros(n), np.ones(n), rng)
+    changed = int((out != x).sum())
     # Binomial(2000 * 30, 1/30): mean 2000, sd ~44. A few sigmas of slack.
     assert 1750 < changed < 2250

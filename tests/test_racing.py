@@ -5,12 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from raceopt import racing
 from raceopt.core import EstimatorKind, Individual, SampleArchive, make_rng
-from raceopt.moea import environmental_select
+from raceopt.moea import (
+    SelectionOutcome,
+    binary_tournament,
+    environmental_select,
+    polynomial_mutation,
+    sbx_crossover,
+)
 from raceopt.problems import NoisyProblem, Problem, make_noise, make_problem
 from raceopt.racing import (
     ALGORITHM_IDS,
     RaceConfig,
+    RaceResult,
     SelectionRace,
     Status,
     StopReason,
@@ -527,24 +535,21 @@ def test_generation_matches_deterministic_selection_oracle():
         make_rng(68),
     )
 
-    from raceopt.moea import binary_tournament, polynomial_mutation, sbx_crossover
-
     replay = make_rng(66)
+    n = problem.n_variables
     offspring = []
     while len(offspring) < 6:
         ia = binary_tournament(mating, replay)
         ib = binary_tournament(mating, replay)
-        ca, cb = sbx_crossover(
-            parents_b[ia].genome,
-            parents_b[ib].genome,
-            problem.lower,
-            problem.upper,
-            20.0,
-            1.0,
-            replay,
+        crossed = [replay.random() < 1.0]
+        pair = np.stack([parents_b[ia].genome, parents_b[ib].genome])[None]
+        children = sbx_crossover(
+            pair, problem.lower, problem.upper, crossed, replay.random((1, 2, n)), 20.0
         )
-        ca = polynomial_mutation(ca, problem.lower, problem.upper, 20.0, None, replay)
-        cb = polynomial_mutation(cb, problem.lower, problem.upper, 20.0, None, replay)
+        children = polynomial_mutation(
+            children, problem.lower, problem.upper, replay.random((1, 2, 2, n)), 20.0, None
+        )
+        ca, cb = children[0]
         offspring.append(ca)
         if len(offspring) < 6:
             offspring.append(cb)
@@ -637,3 +642,245 @@ def test_race_survivor_with_a_short_archive_is_sampled_again():
     for i in full:
         assert survivors[i].unchanged
         assert len(survivors[i].archive) == lengths[i]
+
+
+# ---------------------------------------------------------------------------
+# batched variation against the per-pair reference
+#
+# Before variation was batched, each pair drew its own uniforms inside the
+# operators. Those per-pair operators and the generation loop that called
+# them are kept here as the oracle: the batched draw pass must consume the
+# variation stream in the same order, and the array operators must give
+# the same floats.
+
+
+def _sbx_pair(parent_a, parent_b, lower, upper, eta, crossover_prob, rng):
+    """Per-pair SBX that draws its own gate, exchange and spread uniforms."""
+    a = np.asarray(parent_a, dtype=float)
+    b = np.asarray(parent_b, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    child_a = a.copy()
+    child_b = b.copy()
+    if rng.random() >= crossover_prob:
+        return child_a, child_b
+    n = a.size
+    exchange = rng.random(n) <= 0.5
+    u = rng.random(n)
+    beta = np.where(
+        u <= 0.5,
+        (2.0 * u) ** (1.0 / (eta + 1.0)),
+        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)),
+    )
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * beta * (hi - lo)
+    child_a = np.where(exchange, mid - half, a)
+    child_b = np.where(exchange, mid + half, b)
+    np.clip(child_a, lower, upper, out=child_a)
+    np.clip(child_b, lower, upper, out=child_b)
+    return child_a, child_b
+
+
+def _mutate_one(x, lower, upper, eta, mutation_prob, rng):
+    """Per-genome polynomial mutation that draws its own gate and spread uniforms."""
+    x = np.asarray(x, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    n = x.size
+    if mutation_prob is None:
+        mutation_prob = 1.0 / n
+    gate = rng.random(n) < mutation_prob
+    u = rng.random(n)
+    span = upper - lower
+    d_lo = (x - lower) / span
+    d_hi = (upper - x) / span
+    exp = 1.0 / (eta + 1.0)
+    low_branch = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d_lo) ** (eta + 1.0)) ** exp - 1.0
+    high_branch = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d_hi) ** (eta + 1.0)) ** exp
+    delta = np.where(u <= 0.5, low_branch, high_branch)
+    mutated = np.clip(x + delta * span, lower, upper)
+    return np.where(gate, mutated, x)
+
+
+def _offspring_loop(parents, mating, lower, upper, rng, crossover_prob=1.0):
+    """The per-pair variation loop of a generation, with its clone rule.
+
+    Also returns, per child, which parent of its pair it clones: "a", "b"
+    or "new".
+    """
+
+    def child(genome, pair):
+        for parent, kind in zip(pair, "ab"):
+            if np.array_equal(genome, parent.genome):
+                return Individual(genome.copy(), parent.archive.copy(), parent.unchanged), kind
+        return Individual(genome, SampleArchive(), unchanged=False), "new"
+
+    offspring, kinds = [], []
+    while len(offspring) < len(parents):
+        ia = binary_tournament(mating, rng)
+        ib = binary_tournament(mating, rng)
+        ca, cb = _sbx_pair(
+            parents[ia].genome, parents[ib].genome, lower, upper, 20.0, crossover_prob, rng
+        )
+        ca = _mutate_one(ca, lower, upper, 20.0, None, rng)
+        cb = _mutate_one(cb, lower, upper, 20.0, None, rng)
+        pair = (parents[ia], parents[ib])
+        for genome in (ca, cb)[: len(parents) - len(offspring)]:
+            ind, kind = child(genome, pair)
+            offspring.append(ind)
+            kinds.append(kind)
+    return offspring, kinds
+
+
+def _random_genomes(problem, rng, count):
+    return problem.lower + rng.random((count, problem.n_variables)) * (problem.upper - problem.lower)
+
+
+@pytest.mark.parametrize("name", ["zdt1", "zdt4"])
+@pytest.mark.parametrize("eta", [20.0, 1.0])
+def test_batched_sbx_matches_the_per_pair_reference(name, eta):
+    problem = make_problem(name)
+    n = problem.n_variables
+    setup = make_rng(90)
+    pairs = 400
+    parents = np.stack([_random_genomes(problem, setup, pairs) for _ in range(2)], axis=1)
+    parents[::7, 1] = parents[::7, 0]  # identical parents
+    parents[1::9, :, 0] = problem.lower[0]  # coordinates on the bounds
+    parents[2::9, :, -1] = problem.upper[-1]
+    reference = make_rng(91)
+    want = np.stack([
+        np.stack(_sbx_pair(a, b, problem.lower, problem.upper, eta, 0.5, reference))
+        for a, b in parents
+    ])
+    # the same draws, made ahead of the arithmetic; half the pairs are gate-off rows
+    draws = make_rng(91)
+    crossed = np.zeros(pairs, dtype=bool)
+    uniforms = np.full((pairs, 2, n), np.nan)
+    for p in range(pairs):
+        crossed[p] = draws.random() < 0.5
+        if crossed[p]:
+            draws.random(out=uniforms[p])
+    assert 0 < crossed.sum() < pairs
+    got = sbx_crossover(parents, problem.lower, problem.upper, crossed, uniforms, eta)
+    assert got.tobytes() == want.tobytes()
+    assert draws.bit_generator.state == reference.bit_generator.state
+    if eta == 1.0:
+        clipped = (want == problem.lower) | (want == problem.upper)
+        assert clipped[crossed].any()
+
+
+@pytest.mark.parametrize("name", ["zdt1", "zdt4"])
+@pytest.mark.parametrize("mutation_prob", [None, 0.0, 0.3, 1.0])
+def test_batched_mutation_matches_the_per_pair_reference(name, mutation_prob):
+    problem = make_problem(name)
+    n = problem.n_variables
+    rows = 500
+    x = _random_genomes(problem, make_rng(92), rows)
+    x[::5, 0] = problem.lower[0]
+    x[1::5, -1] = problem.upper[-1]
+    reference = make_rng(93)
+    want = np.stack([
+        _mutate_one(row, problem.lower, problem.upper, 20.0, mutation_prob, reference)
+        for row in x
+    ])
+    draws = make_rng(93)
+    uniforms = draws.random((rows, 2, n))
+    got = polynomial_mutation(x, problem.lower, problem.upper, uniforms, 20.0, mutation_prob)
+    assert got.tobytes() == want.tobytes()
+    assert draws.bit_generator.state == reference.bit_generator.state
+    moved = int((got != x).sum())
+    if mutation_prob == 0.0:
+        assert moved == 0
+    else:
+        assert moved > 0
+
+
+class _PoolRecorder:
+    """Stand-in selector: keeps the pool it is given and the first mu of it."""
+
+    def __init__(self, count):
+        self.count = count
+        self.pool = None
+
+    def holds_enough(self, ind):
+        return len(ind.archive) >= self.count
+
+    def select(self, pool, mu, noisy, eval_rng, boot_rng):
+        self.pool = pool
+        outcome = environmental_select(np.zeros((len(pool), 2)), mu)
+        return RaceResult(np.arange(mu), 0, 1, None, outcome)
+
+
+def _variation_parents(problem, rng, mu):
+    """Parents whose genomes repeat or differ in one coordinate, so that
+    children clone parent a, parent b, or both, and whose archives differ
+    in length, so that their unchanged flags differ."""
+    genomes = _random_genomes(problem, rng, 3)
+    genomes[1] = genomes[0]
+    genomes[1, 0] = problem.lower[0] + 0.25 * (problem.upper[0] - problem.lower[0])
+    parents = []
+    for i in range(mu):
+        ind = Individual(genomes[rng.integers(genomes.shape[0])].copy())
+        for _ in range(1 + i % 4):
+            ind.archive.append(rng.normal(size=2))
+        parents.append(ind)
+    return parents
+
+
+def _generation_against_the_loop(problem, mu, seed, crossover_prob=1.0):
+    """One generation's offspring and the per-pair loop's, from the same
+    parents and variation seed; checks the streams end in the same state."""
+    setup = make_rng(94, seed)
+    parents = _variation_parents(problem, setup, mu)
+    # tied ranks and crowding, so tournaments also flip coins
+    mating = SelectionOutcome(
+        selected=np.arange(mu),
+        rank=setup.integers(0, 2, size=mu),
+        crowding=setup.choice([0.5, 1.0, np.inf], size=mu),
+    )
+    selector = _PoolRecorder(count=3)
+    twins = [Individual(p.genome.copy(), p.archive.copy(), selector.holds_enough(p))
+             for p in parents]
+    variation = make_rng(95, seed)
+    noisy = NoisyProblem(problem, make_noise("none"))
+    nsga2_generation(parents, mating, selector, noisy, variation, make_rng(0), make_rng(1))
+    reference = make_rng(95, seed)
+    want, kinds = _offspring_loop(
+        twins, mating, problem.lower, problem.upper, reference, crossover_prob
+    )
+    assert variation.bit_generator.state == reference.bit_generator.state
+    assert [p.unchanged for p in parents] == [p.unchanged for p in twins]
+    return parents, selector.pool[mu:], want, kinds
+
+
+@pytest.mark.parametrize("name", ["zdt1", "zdt4"])
+@pytest.mark.parametrize("mu", [2, 7, 40])
+def test_generation_variation_matches_the_per_pair_loop(name, mu):
+    problem = make_problem(name)
+    kinds = []
+    for seed in range(30):
+        parents, got, want, seed_kinds = _generation_against_the_loop(problem, mu, seed)
+        kinds += seed_kinds
+        assert len(got) == len(want) == mu
+        for g, w in zip(got, want):
+            assert g.genome.tobytes() == w.genome.tobytes()
+            assert g.unchanged == w.unchanged
+            assert len(g.archive) == len(w.archive)
+            if len(w.archive):
+                assert g.archive.as_array().tobytes() == w.archive.as_array().tobytes()
+            assert all(g.archive is not p.archive for p in parents)
+    if mu > 2:
+        assert {"a", "b", "new"} <= set(kinds)
+
+
+def test_generation_gate_off_pairs_skip_their_sbx_draws(monkeypatch):
+    # At the default crossover probability of 1 every pair is crossed; at
+    # 0.5 the draw pass must skip the SBX uniforms of gate-off pairs as the
+    # per-pair loop does.
+    monkeypatch.setattr(racing, "_CROSSOVER_PROB", 0.5)
+    problem = make_problem("zdt1")
+    for seed in range(5):
+        _, got, want, _ = _generation_against_the_loop(problem, 40, seed, crossover_prob=0.5)
+        assert [g.genome.tobytes() for g in got] == [w.genome.tobytes() for w in want]
