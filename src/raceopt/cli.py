@@ -60,6 +60,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"--budget is required for algorithm {algo!r}")
     if algo.startswith("rsp") and args.confidence is None:
         raise ConfigError(f"--confidence is required for algorithm {algo!r}")
+    if algo == "implicit" and args.budget is not None:
+        raise ConfigError(f"--budget does not apply to algorithm {algo!r}")
+    if (algo == "implicit" or algo.startswith("static")) and args.confidence is not None:
+        raise ConfigError(f"--confidence does not apply to algorithm {algo!r}")
     cfg = ExperimentConfig(
         problem=args.problem,
         noise=args.noise,

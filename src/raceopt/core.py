@@ -15,9 +15,6 @@ class EstimatorKind(enum.Enum):
     MEDIAN = "median"
 
 
-ESTIMATORS = {kind.value: kind for kind in EstimatorKind}
-
-
 def estimator_value(samples: np.ndarray, kind: EstimatorKind) -> np.ndarray:
     """Collapse a stack of objective samples into one representative point.
 
@@ -115,29 +112,20 @@ class SampleArchive:
     def __len__(self) -> int:
         return self._count
 
-    def __bool__(self) -> bool:
-        return self._count > 0
-
 
 @dataclass
 class Individual:
     """A decision vector plus its accumulated noisy objective samples.
 
-    ``unchanged`` marks individuals whose archive already holds enough
-    valid samples of the current genome, so selection reuses it instead of
-    sampling: a parent or a clone of one, and only if the archive holds at
-    least the selector's per-individual sample count. Everyone else is
-    sampled as new, keeping whatever samples the archive already holds.
+    Every sample in the archive is of the current genome: a clone inherits
+    a copy of its parent's archive, a new child starts empty.
     """
 
     genome: np.ndarray
     archive: SampleArchive = field(default_factory=SampleArchive)
-    unchanged: bool = False
 
     def __post_init__(self) -> None:
         self.genome = np.asarray(self.genome, dtype=float)
-        if self.unchanged and not self.archive:
-            raise ValueError("unchanged individual requires a non-empty archive")
 
 
 def make_rng(*keys: int) -> np.random.Generator:

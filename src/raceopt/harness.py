@@ -44,6 +44,14 @@ def _number(key: str, text: str, kind: type):
         raise ConfigError(f"{key} must be {noun}, got {text!r}") from None
 
 
+def _finite(key: str, text: str) -> float:
+    """Parse one number that must be finite; a ConfigError names its key."""
+    value = _number(key, text, float)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    return value
+
+
 DEFAULT_POPULATION = 100
 DEFAULT_RUNS = 25
 DEFAULT_PROXIMITY = 0.5
@@ -67,9 +75,9 @@ def default_seeds(master_seed: int = 0, runs: int = DEFAULT_RUNS) -> tuple[int, 
 class ExperimentConfig:
     """One cell of the experiment grid plus its seeds.
 
-    Construction canonicalizes: the estimator is derived from the
-    algorithm, implicit averaging pins sampling_budget to 1, and
-    non-racing algorithms pin confidence to 0. Canonical form makes
+    Construction canonicalizes: implicit averaging pins sampling_budget
+    to 1, and non-racing algorithms pin confidence to 0. The estimator is
+    derived from the algorithm and is not a setting. Canonical form makes
     equality and hashing, and so grid deduplication, well defined; a
     config is never mutated after construction, so it hashes by value.
     """
@@ -79,7 +87,6 @@ class ExperimentConfig:
     algorithm: str
     sampling_budget: int = 1
     confidence: float = 0.0
-    estimator: str = ""
     proximity_threshold: float = DEFAULT_PROXIMITY
     population_size: int = DEFAULT_POPULATION
     max_evaluations: int | None = None
@@ -102,27 +109,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown algorithm: {self.algorithm!r} (valid: {', '.join(ALGORITHM_IDS)})"
             )
-        derived = algorithm_estimator(self.algorithm).value
-        if self.estimator and self.estimator != derived:
-            raise ConfigError(
-                f"estimator {self.estimator!r} does not match algorithm "
-                f"{self.algorithm!r} (expects {derived!r})"
-            )
-        self.estimator = derived
         self.sampling_budget = int(self.sampling_budget)
         self.confidence = float(self.confidence)
         if self.algorithm == "implicit":
             self.sampling_budget = 1
+        elif self.sampling_budget < 1:
+            raise ConfigError("sampling_budget must be at least 1")
+        if not self.algorithm.startswith("rsp"):
             self.confidence = 0.0
-        elif self.algorithm.startswith("static"):
-            if self.sampling_budget < 1:
-                raise ConfigError("sampling_budget must be at least 1")
-            self.confidence = 0.0
-        else:
-            if self.sampling_budget < 1:
-                raise ConfigError("sampling_budget must be at least 1")
-            if not 0.0 < self.confidence < 1.0:
-                raise ConfigError("racing algorithms need a confidence in (0, 1)")
+        elif not 0.0 < self.confidence < 1.0:
+            raise ConfigError("racing algorithms need a confidence in (0, 1)")
         self.proximity_threshold = float(self.proximity_threshold)
         if not (math.isfinite(self.proximity_threshold) and self.proximity_threshold >= 0.0):
             raise ConfigError("proximity_threshold must be finite and non-negative")
@@ -143,6 +139,10 @@ class ExperimentConfig:
             self.max_generations = int(self.max_generations)
             if self.max_generations < 0:
                 raise ConfigError("max_generations must be non-negative")
+
+    @property
+    def estimator(self) -> str:
+        return algorithm_estimator(self.algorithm).value
 
     def run_filename(self, seed: int) -> str:
         return (
@@ -184,10 +184,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunRecord:
     noise = make_noise(cfg.noise)
     noisy = NoisyProblem(problem, noise, cfg.max_evaluations)
     selector = make_selector(
-        cfg.algorithm,
-        cfg.sampling_budget,
-        cfg.confidence if cfg.confidence > 0.0 else None,
-        cfg.proximity_threshold,
+        cfg.algorithm, cfg.sampling_budget, cfg.confidence, cfg.proximity_threshold
     )
     init_rng = make_rng(seed, STREAM_INIT)
     eval_rng = make_rng(seed, STREAM_EVAL)
@@ -325,8 +322,8 @@ def _split_run_file(path):
 
     A file whose first non-blank row is not a meta row is not a run file
     (_NotARunFile, a ValueError). In a run file, an unknown or short row, a
-    non-numeric or ragged point, or a missing final population raises
-    ConfigError naming the file and the 1-based line.
+    non-numeric, non-finite or ragged point, or a missing final population
+    raises ConfigError naming the file and the 1-based line.
     """
     meta: dict[str, str] = {}
     gen_rows: list[tuple[int, list[str]]] = []
@@ -363,7 +360,14 @@ def _split_run_file(path):
         raise _NotARunFile(f"{path} is not a run file")
     if not points:
         raise _malformed(path, line, "file ends before the final population")
-    return meta, gen_rows, np.asarray(points, dtype=float), score
+    points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        # Rare, so the rows are found again only here, not tracked above.
+        with Path(path).open() as handle:
+            rows = [(n, t) for n, t in enumerate(handle, start=1) if t.startswith("pop,")]
+        line, text = rows[int(np.argmin(np.isfinite(points).all(axis=1)))]
+        raise _malformed(path, line, f"non-finite pop row {text.rstrip()!r}")
+    return meta, gen_rows, points, score
 
 
 def read_run_csv(path) -> RunFileData:
@@ -436,7 +440,8 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
     algorithm variants within a cell, paired by common seeds (at least 5
     required for a row). ``source`` is one run file or a directory whose
     ``.csv`` files are scanned; other files found there are skipped. A run
-    file lacking a meta key the summary reads is a ConfigError.
+    file lacking a meta key the summary reads, or holding a non-numeric or
+    non-finite one, is a ConfigError.
     """
     root = Path(source)
     if not (root.is_file() or root.is_dir()):
@@ -455,7 +460,7 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
                 "algorithm": meta["algorithm"],
                 "estimator": meta["estimator"],
                 "budget": _number("sampling_budget", meta["sampling_budget"], int),
-                "confidence": _number("confidence", meta["confidence"], float),
+                "confidence": _finite("confidence", meta["confidence"]),
                 "seed": _number("seed", meta["seed"], int),
                 "evaluations": _number("evaluations", meta["evaluations"], int),
             }
@@ -602,9 +607,14 @@ _GRID_SCALAR_KEYS = (
 
 
 def parse_grid(text: str) -> dict:
-    """Parse a flat key=value grid file (comments with #, comma lists)."""
+    """Parse a flat key=value grid file (comments with #, comma lists).
+
+    A key set twice or set to nothing is a ConfigError naming the key and
+    its 1-based line; a key left out takes its default.
+    """
     grid: dict[str, object] = {}
-    for line in text.splitlines():
+    lines: dict[str, int] = {}
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -612,16 +622,21 @@ def parse_grid(text: str) -> dict:
             raise ConfigError(f"expected key = value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key in _GRID_LIST_KEYS:
-            grid[key] = [item.strip() for item in value.split(",") if item.strip()]
+            value = [item.strip() for item in value.split(",") if item.strip()]
         elif key in _GRID_SCALAR_KEYS:
-            grid[key] = value
+            value = value.strip()
         else:
             raise ConfigError(
                 f"unknown grid key: {key!r} (valid: "
                 f"{', '.join(_GRID_LIST_KEYS + _GRID_SCALAR_KEYS)})"
             )
+        if key in lines:
+            raise ConfigError(f"line {number}: grid key {key!r} repeats line {lines[key]}")
+        if not value:
+            raise ConfigError(f"line {number}: grid key {key!r} has no value")
+        grid[key] = value
+        lines[key] = number
     return grid
 
 
@@ -653,33 +668,19 @@ def expand_grid(grid: dict) -> list[ExperimentConfig]:
     if grid.get("max_generations"):
         common["max_generations"] = _number("max_generations", grid["max_generations"], int)
     configs: dict[ExperimentConfig, None] = {}
-    for problem, noise, algorithm in itertools.product(problems, noises, algorithms):
-        if algorithm == "implicit":
-            configs.setdefault(ExperimentConfig(problem, noise, algorithm, **common))
-            continue
-        if not budgets:
-            raise ConfigError(f"{algorithm} requires a budgets list in the grid")
-        for budget in budgets:
-            if algorithm.startswith("static"):
-                configs.setdefault(
-                    ExperimentConfig(
-                        problem, noise, algorithm, sampling_budget=budget, **common
-                    )
-                )
-                continue
-            if not confidences:
+    for problem, noise, algorithm, budget, confidence in itertools.product(
+        problems, noises, algorithms, budgets or [1], confidences or [0.0]
+    ):
+        if algorithm != "implicit":
+            if not budgets:
+                raise ConfigError(f"{algorithm} requires a budgets list in the grid")
+            if not (algorithm.startswith("static") or confidences):
                 raise ConfigError(f"{algorithm} requires a confidences list in the grid")
-            for confidence in confidences:
-                configs.setdefault(
-                    ExperimentConfig(
-                        problem,
-                        noise,
-                        algorithm,
-                        sampling_budget=budget,
-                        confidence=confidence,
-                        **common,
-                    )
-                )
+        configs.setdefault(
+            ExperimentConfig(
+                problem, noise, algorithm, sampling_budget=budget, confidence=confidence, **common
+            )
+        )
     return list(configs)
 
 
@@ -702,19 +703,32 @@ def emit_boxplot_data(summary_path, out_path) -> None:
     """Summarize delta_hv per variant as five-number rows.
 
     Quantiles use numpy's linear interpolation rule, so values 1..5 give
-    q1 = 2, median = 3, q3 = 4.
+    q1 = 2, median = 3, q3 = 4. A summary lacking a column is a
+    ConfigError naming the file and column; a short row, a non-integer
+    budget or a non-finite confidence or delta_hv, one naming the file and
+    the 1-based line.
     """
     groups: dict[tuple[str, str, str, int, float], list[float]] = {}
     with Path(summary_path).open(newline="") as handle:
-        for row in csv.DictReader(handle):
-            key = (
-                row["problem"],
-                row["noise"],
-                row["algorithm"],
-                int(row["budget"]),
-                float(row["confidence"]),
-            )
-            groups.setdefault(key, []).append(float(row["delta_hv"]))
+        reader = csv.DictReader(handle)
+        for column in ("problem", "noise", "algorithm", "budget", "confidence", "delta_hv"):
+            if column not in (reader.fieldnames or ()):
+                raise ConfigError(f"{summary_path}: missing column {column!r}")
+        for row in reader:
+            try:
+                if None in row.values():
+                    raise ConfigError("short row")
+                key = (
+                    row["problem"],
+                    row["noise"],
+                    row["algorithm"],
+                    _number("budget", row["budget"], int),
+                    _finite("confidence", row["confidence"]),
+                )
+                value = _finite("delta_hv", row["delta_hv"])
+            except ConfigError as exc:
+                raise _malformed(summary_path, reader.line_num, str(exc)) from None
+            groups.setdefault(key, []).append(value)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with out_path.open("w", newline="") as handle:

@@ -75,7 +75,6 @@ class RaceConfig:
     t_max: int
     proximity_threshold: float = 0.5
     estimator: EstimatorKind = EstimatorKind.LAST
-    range_width: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
@@ -84,8 +83,6 @@ class RaceConfig:
             raise ValueError("t_max must be at least 1")
         if not (math.isfinite(self.proximity_threshold) and self.proximity_threshold >= 0.0):
             raise ValueError("proximity_threshold must be finite and non-negative")
-        if not (math.isfinite(self.range_width) and self.range_width > 0.0):
-            raise ValueError("range_width must be finite and positive")
 
 
 class SelectionRace:
@@ -108,7 +105,7 @@ class SelectionRace:
     upper bound.
     """
 
-    def __init__(self, size: int, mu: int, delta: float, range_width: float = 1.0) -> None:
+    def __init__(self, size: int, mu: int, delta: float) -> None:
         if size < 2:
             raise ValueError("a race needs at least 2 individuals")
         if not 1 <= mu < size:
@@ -118,7 +115,6 @@ class SelectionRace:
         self.size = size
         self.mu = mu
         self.delta = delta
-        self.range_width = range_width
         self.iteration = 0
         self.status = np.full(size, _RACING, dtype=int)
         self.t = np.zeros(size, dtype=int)
@@ -160,7 +156,7 @@ class SelectionRace:
         self.iteration += 1
         self.t[racing] += 1
         self.s[racing] += chosen[racing]
-        radius = hoeffding_radius(self.iteration, self.delta, self.range_width)
+        radius = hoeffding_radius(self.iteration, self.delta)
         p = self.s[racing] / self.t[racing]
         self.lower[racing] = np.maximum(0.0, p - radius)
         self.upper[racing] = np.minimum(1.0, p + radius)
@@ -265,9 +261,10 @@ def _representative(ind: Individual, kind: EstimatorKind, rng: np.random.Generat
     return estimator_value(np.concatenate((ind.archive.as_array(), draw[None, :])), kind)
 
 
-def _modified(population: list[Individual]) -> np.ndarray:
-    """Bool mask of the individuals that need fresh samples."""
-    return np.fromiter((not ind.unchanged for ind in population), dtype=bool,
+def _modified(population: list[Individual], count: int) -> np.ndarray:
+    """Bool mask of the individuals sampled as new: those whose archive
+    holds fewer than the per-individual sample ``count``."""
+    return np.fromiter((len(ind.archive) < count for ind in population), dtype=bool,
                        count=len(population))
 
 
@@ -281,9 +278,10 @@ def race_select(
 ) -> RaceResult:
     """Choose mu of the population by racing the selection indicators.
 
-    Per iteration, every racing individual not flagged unchanged receives one
-    fresh evaluation (appended to its archive); unchanged and retired
-    individuals contribute bootstrap representatives instead, so the
+    Per iteration, every racing individual whose archive held fewer than
+    t_max samples when the race began receives one fresh evaluation
+    (appended to its archive); the others and retired individuals
+    contribute bootstrap representatives instead, so the
     diversity-aware selection always sees the whole pool. One
     environmental selection over the representatives yields the indicator
     vector recorded by the race.
@@ -298,14 +296,14 @@ def race_select(
     lam = len(population)
     if not 1 <= mu < lam:
         raise ValueError(f"mu must be in [1, {lam - 1}], got {mu}")
-    race = SelectionRace(lam, mu, config.delta, config.range_width)
+    race = SelectionRace(lam, mu, config.delta)
     k = noisy.problem.n_objectives
     reps = np.zeros((lam, k))
     evals_before = noisy.evaluations
     outcome: SelectionOutcome | None = None
     stop: StopReason | None = None
     iterations = 0
-    modified = _modified(population)
+    modified = _modified(population, config.t_max)
     for it in range(1, config.t_max + 1):
         fresh = modified & (race.status == _RACING)
         if not noisy.can_afford(int(np.count_nonzero(fresh))):
@@ -361,16 +359,16 @@ def static_select(
     noisy: NoisyProblem,
     eval_rng: np.random.Generator,
 ) -> RaceResult:
-    """Static resampling: n fresh samples per individual not flagged
-    unchanged, added to its archive, then one environmental selection on
-    the estimator values."""
+    """Static resampling: n fresh samples per individual whose archive
+    holds fewer than n, added to its archive, then one environmental
+    selection on the estimator values."""
     lam = len(population)
     if not 1 <= mu < lam:
         raise ValueError(f"mu must be in [1, {lam - 1}], got {mu}")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     evals_before = noisy.evaluations
-    modified = _modified(population)
+    modified = _modified(population, n_samples)
     if not noisy.can_afford(n_samples * int(np.count_nonzero(modified))):
         raise RuntimeError("budget cannot cover static resampling")
     reps = np.zeros((lam, noisy.problem.n_objectives))
@@ -387,17 +385,6 @@ def static_select(
         stop_reason=None,
         outcome=outcome,
     )
-
-
-def implicit_select(
-    population: list[Individual],
-    mu: int,
-    noisy: NoisyProblem,
-    eval_rng: np.random.Generator,
-) -> RaceResult:
-    """Implicit averaging: one fresh sample per modified individual, plain
-    NSGA-II selection on the latest values."""
-    return static_select(population, mu, 1, EstimatorKind.LAST, noisy, eval_rng)
 
 
 ALGORITHM_IDS = ("implicit", "static-avg", "static-med", "rsp-i", "rsp-avg", "rsp-med")
@@ -427,12 +414,11 @@ class Selector:
 
     ``worst_evals_per_offspring`` is the per-individual sample count: the
     exact worst-case cost of one individual sampled as new, and the archive
-    length an individual needs to enter selection as unchanged. With a
-    ``race`` the selector races; without one it resamples statically with
-    that count, which for implicit averaging is one sample and ``LAST``.
+    length that spares an individual fresh samples. With a ``race`` the
+    selector races; without one it resamples statically with that count,
+    which for implicit averaging is one sample and ``LAST``.
     """
 
-    algorithm: str
     estimator: EstimatorKind
     worst_evals_per_offspring: int
     race: RaceConfig | None = None
@@ -444,15 +430,11 @@ class Selector:
             population, mu, self.worst_evals_per_offspring, self.estimator, noisy, eval_rng
         )
 
-    def holds_enough(self, ind: Individual) -> bool:
-        """Whether ind's archive already holds the per-individual sample count."""
-        return len(ind.archive) >= self.worst_evals_per_offspring
-
     def worst_generation_evaluations(self, parents: list[Individual]) -> int:
         """Exact worst case of one generation from these parents: mu
         offspring plus every parent with a short archive, each sampled as new."""
-        short = sum(not self.holds_enough(parent) for parent in parents)
-        return (len(parents) + short) * self.worst_evals_per_offspring
+        count = self.worst_evals_per_offspring
+        return (len(parents) + int(_modified(parents, count).sum())) * count
 
 
 def make_selector(
@@ -469,11 +451,11 @@ def make_selector(
     """
     estimator = algorithm_estimator(algorithm)
     if algorithm == "implicit":
-        return Selector(algorithm, estimator, 1)
+        return Selector(estimator, 1)
     if sampling_budget is None or sampling_budget < 1:
         raise ValueError(f"{algorithm} requires a sampling budget >= 1")
     if algorithm.startswith("static"):
-        return Selector(algorithm, estimator, sampling_budget)
+        return Selector(estimator, sampling_budget)
     # rsp-* variants
     if confidence is None or not 0.0 < confidence < 1.0:
         raise ValueError(f"{algorithm} requires a confidence in (0, 1)")
@@ -483,7 +465,7 @@ def make_selector(
         proximity_threshold=proximity_threshold,
         estimator=estimator,
     )
-    return Selector(algorithm, estimator, sampling_budget, race)
+    return Selector(estimator, sampling_budget, race)
 
 
 # SBX pair gate: a pair is crossed when its gate draw is below this.
@@ -502,8 +484,8 @@ def _offspring(
     mu the last pair's second child is drawn and mutated, then dropped.
 
     A child equal to a parent of its pair (parent a first) is a clone: it
-    inherits that parent's archive and ``unchanged`` flag, so a clone of a
-    short-archive parent is sampled as new too.
+    inherits a copy of that parent's archive, so a clone of a short-archive
+    parent is sampled as new too.
     """
     mu = len(parents)
     pairs = (mu + 1) // 2
@@ -525,14 +507,10 @@ def _offspring(
     same = (children[:, :, None] == genomes[:, None]).all(axis=-1)
     # Index of the parent each child clones, or -1.
     source = np.where(same[..., 0], mates[:, :1], np.where(same[..., 1], mates[:, 1:], -1))
-    offspring: list[Individual] = []
-    for genome, i in zip(children.reshape(2 * pairs, n)[:mu], source.ravel().tolist()):
-        if i < 0:
-            offspring.append(Individual(genome))
-        else:
-            parent = parents[i]
-            offspring.append(Individual(genome, parent.archive.copy(), parent.unchanged))
-    return offspring
+    return [
+        Individual(genome) if i < 0 else Individual(genome, parents[i].archive.copy())
+        for genome, i in zip(children.reshape(2 * pairs, n)[:mu], source.ravel().tolist())
+    ]
 
 
 def nsga2_generation(
@@ -548,7 +526,7 @@ def nsga2_generation(
 
     Binary tournaments on the previous selection outcome pick mating
     pairs; SBX plus polynomial mutation produce mu offspring. A parent is
-    flagged unchanged only if its archive already holds the selector's
+    spared fresh samples only if its archive already holds the selector's
     per-individual sample count; any other parent (say, one evaluated once
     at initialization, or one a race retired after a few samples) is
     sampled as new, on top of the samples it keeps. The combined pool goes
@@ -560,8 +538,6 @@ def nsga2_generation(
     if mu_pop < 2:
         raise ValueError("need at least 2 parents")
     problem = noisy.problem
-    for parent in parents:
-        parent.unchanged = selector.holds_enough(parent)
     offspring = _offspring(parents, mating, problem.lower, problem.upper, variation_rng)
     pool = list(parents) + offspring
     result = selector.select(pool, mu_pop, noisy, eval_rng, boot_rng)

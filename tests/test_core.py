@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from raceopt.core import (
-    ESTIMATORS,
     EstimatorKind,
-    Individual,
     SampleArchive,
     estimator_value,
     make_rng,
@@ -44,13 +42,6 @@ def test_empty_archive_rejected():
         estimator_value(np.empty((0, 2)), EstimatorKind.MEAN)
     with pytest.raises(ValueError, match="empty-archive"):
         SampleArchive().estimate(EstimatorKind.LAST)
-
-
-def test_estimator_name_map_covers_all_kinds():
-    assert set(ESTIMATORS.values()) == set(EstimatorKind)
-    assert ESTIMATORS["mean"] is EstimatorKind.MEAN
-    assert ESTIMATORS["median"] is EstimatorKind.MEDIAN
-    assert ESTIMATORS["last"] is EstimatorKind.LAST
 
 
 def test_mean_is_permutation_invariant_but_last_is_not():
@@ -176,17 +167,6 @@ def test_sort_median_equals_np_median_bit_for_bit():
         assert got.tobytes() == want.tobytes(), rows
         seen.add(n % 2)
     assert seen == {0, 1}
-
-
-def test_individual_unchanged_requires_history():
-    with pytest.raises(ValueError):
-        Individual(genome=np.zeros(3), unchanged=True)
-    ind = Individual(
-        genome=np.zeros(3),
-        archive=SampleArchive([(0.0, 0.0)]),
-        unchanged=True,
-    )
-    assert ind.unchanged
 
 
 def test_make_rng_is_deterministic_per_key_tuple():

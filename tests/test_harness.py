@@ -78,7 +78,8 @@ def test_config_rejects_bad_values():
         ExperimentConfig("zdt1", "none", "racing")
     with pytest.raises(ConfigError, match="confidence"):
         ExperimentConfig("zdt1", "none", "rsp-i", sampling_budget=5)
-    with pytest.raises(ConfigError, match="estimator"):
+    # The estimator is derived from the algorithm, not a setting.
+    with pytest.raises(TypeError, match="estimator"):
         ExperimentConfig("zdt1", "none", "static-avg", sampling_budget=5, estimator="median")
     with pytest.raises(ConfigError, match="population initialization"):
         ExperimentConfig("zdt1", "none", "implicit", population_size=50, max_evaluations=10)
@@ -485,6 +486,23 @@ def test_parse_grid_rejects_unknown_keys():
         parse_grid("problems zdt1\n")
 
 
+def test_parse_grid_rejects_empty_values_naming_key_and_line():
+    # An empty value would otherwise run the default (all five problems).
+    for text, line in (("problems =\n", 1), ("runs = 2\nevaluations =   \n", 2),
+                       ("# x\nnoises = , ,\n", 2)):
+        with pytest.raises(ConfigError, match=rf"line {line}: grid key '\w+' has no value"):
+            parse_grid(text)
+    # An omitted key still means its default.
+    assert expand_grid(parse_grid("problems = zdt1\nnoises = none\nalgorithms = implicit\n"))
+
+
+def test_parse_grid_rejects_a_repeated_key_naming_both_lines():
+    with pytest.raises(ConfigError, match="line 3: grid key 'runs' repeats line 1"):
+        parse_grid("runs = 2\npopulation = 8\nruns = 3\n")
+    with pytest.raises(ConfigError, match="line 2: grid key 'budgets' repeats line 1"):
+        parse_grid("budgets = 2\nbudgets = 3\n")
+
+
 def test_grid_key_jobs_is_rejected(tmp_path, capsys):
     # Workers are set by --jobs alone; a grid key that nothing reads is refused.
     with pytest.raises(ConfigError, match="unknown grid key: 'jobs'"):
@@ -527,6 +545,37 @@ def test_boxplot_five_number_summary(tmp_path):
     assert float(row["median"]) == 3.0
     assert float(row["q3"]) == 4.0
     assert float(row["max"]) == 5.0
+
+
+def test_cli_boxplot_rejects_bad_summaries_naming_file_and_culprit(tmp_path, capsys):
+    good = ("zdt1", "none", "implicit", "last", 1, "0.0", 0, "0.5", 100)
+    path = _summary_file(tmp_path, [good, good])
+    out = tmp_path / "box.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\r\n").split(",")
+    for column in ("budget", "delta_hv", "problem"):
+        at = header.index(column)
+        path.write_text("".join(
+            ",".join(f for i, f in enumerate(line.rstrip("\r\n").split(",")) if i != at) + "\n"
+            for line in lines
+        ))
+        assert cli_main(["boxplot", "--in", str(path), "--out", str(out)]) == 2
+        assert f"summary.csv: missing column '{column}'" in capsys.readouterr().err
+    bad = {
+        "budget": ("one", "budget must be an integer, got 'one'"),
+        "delta_hv": ("nan", "delta_hv must be finite, got 'nan'"),
+        "confidence": ("inf", "confidence must be finite, got 'inf'"),
+    }
+    for column, (value, message) in bad.items():
+        row = list(good)
+        row[header.index(column)] = value
+        path = _summary_file(tmp_path, [good, row])
+        assert cli_main(["boxplot", "--in", str(path), "--out", str(out)]) == 2
+        assert f"summary.csv, line 3: {message}" in capsys.readouterr().err
+    path.write_text("".join(lines[:2]) + "zdt1,none,implicit,last,1\n")
+    assert cli_main(["boxplot", "--in", str(path), "--out", str(out)]) == 2
+    assert "summary.csv, line 3: short row" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_boxplot_groups_by_variant(tmp_path):
@@ -657,6 +706,41 @@ def test_cli_run_file_missing_a_meta_key_exits_2_naming_file_and_key(tmp_path, c
                             for line in lines))
     assert cli_main(["score", "--in", str(path), "--out", str(summary)]) == 2
     assert "run.csv: meta seed must be an integer, got 'one'" in capsys.readouterr().err
+
+
+def test_cli_score_rejects_non_finite_values_naming_file_and_culprit(tmp_path, capsys):
+    path, lines = _written_run(tmp_path)
+    summary = tmp_path / "summary.csv"
+    pop = _first_line(lines, "pop") + 3
+    for value in ("nan", "-inf"):
+        path.write_text("".join(lines[:pop] + [f"pop,0.5,{value}\n"] + lines[pop + 1:]))
+        assert cli_main(["score", "--in", str(path), "--out", str(summary)]) == 2
+        assert (f"run.csv, line {pop + 1}: non-finite pop row 'pop,0.5,{value}'"
+                in capsys.readouterr().err)
+        assert cli_main(["score", "--in", str(tmp_path), "--out", str(summary)]) == 2
+        assert f"run.csv, line {pop + 1}" in capsys.readouterr().err
+    path.write_text("".join("meta,confidence,nan\n" if line.startswith("meta,confidence,")
+                            else line for line in lines))
+    assert cli_main(["score", "--in", str(path), "--out", str(summary)]) == 2
+    assert ("run.csv: meta confidence must be finite, got 'nan'"
+            in capsys.readouterr().err)
+    assert not summary.exists()
+
+
+def test_cli_run_rejects_flags_its_algorithm_ignores(tmp_path, capsys):
+    common = ["run", "--problem", "zdt1", "--noise", "none", "--pop", "8",
+              "--evals", "60", "--seed", "0", "--out", str(tmp_path / "run.csv")]
+    for algo, extra, flag in (
+        ("implicit", ["--budget", "9"], "--budget"),
+        ("implicit", ["--confidence", "0.5"], "--confidence"),
+        ("static-avg", ["--budget", "2", "--confidence", "0.5"], "--confidence"),
+        ("Static-Med", ["--budget", "2", "--confidence", "0.5"], "--confidence"),
+    ):
+        assert cli_main(common + ["--algo", algo] + extra) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} does not apply to algorithm {algo.lower()!r}" in err
+    assert not (tmp_path / "run.csv").exists()
+    assert cli_main(common + ["--algo", "static-avg", "--budget", "2"]) == 0
 
 
 def test_cli_runtime_errors_exit_1(tmp_path, capsys):

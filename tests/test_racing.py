@@ -25,7 +25,6 @@ from raceopt.racing import (
     algorithm_estimator,
     bootstrap_draw,
     hoeffding_radius,
-    implicit_select,
     make_selector,
     nsga2_generation,
     race_select,
@@ -113,8 +112,6 @@ def test_race_config_rejects_non_finite_settings():
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="proximity_threshold"):
             RaceConfig(delta=0.5, t_max=5, proximity_threshold=value)
-        with pytest.raises(ValueError, match="range_width"):
-            RaceConfig(delta=0.5, t_max=5, range_width=value)
 
 
 def test_race_bounds_stay_valid_and_quotas_never_overshoot():
@@ -317,23 +314,41 @@ def test_race_with_t_max_one_matches_implicit_selection():
     pop_b = _pop(points)
     cfg = RaceConfig(delta=0.5, t_max=1, proximity_threshold=0.0)
     res_a = race_select(pop_a, 2, cfg, NoisyProblem(_plane(), noise), make_rng(7), make_rng(8))
-    res_b = implicit_select(pop_b, 2, NoisyProblem(_plane(), noise), make_rng(7))
+    res_b = make_selector("implicit").select(
+        pop_b, 2, NoisyProblem(_plane(), noise), make_rng(7), make_rng(8)
+    )
     assert res_a.selected.tolist() == res_b.selected.tolist()
     assert res_a.stop_reason == StopReason.T_MAX
     assert res_a.iterations == 1
 
 
 def test_race_unchanged_individuals_cost_no_evaluations():
+    # An archive that already holds t_max samples is not sampled again.
     pop = _pop([(0.0, 0.0), (0.1, 0.1), (1.0, 1.0), (1.1, 1.1)])
-    pop[2] = Individual(
-        np.array([1.0, 1.0]), SampleArchive([(1.0, 1.0)]), unchanged=True
-    )
+    pop[2] = Individual(np.array([1.0, 1.0]), SampleArchive([(1.0, 1.0)] * 50))
     noisy = NoisyProblem(_plane(), make_noise("none"))
     cfg = RaceConfig(delta=0.75, t_max=50)
     res = race_select(pop, 2, cfg, noisy, make_rng(9), make_rng(10))
-    assert len(pop[2].archive) == 1  # untouched by the race
+    assert len(pop[2].archive) == 50  # untouched by the race
     assert res.evaluations_used == 3 * res.iterations
     assert res.selected.tolist() == [0, 1]
+
+
+def test_race_samples_exactly_the_archives_short_of_t_max():
+    # Archives of t_max - 1 rows are sampled; archives of t_max rows are not.
+    t_max = 4
+    pop = _pop([(0.0, 0.0), (0.1, 0.1), (1.0, 1.0), (1.1, 1.1)])
+    held = [t_max - 1, t_max, t_max - 1, t_max]
+    for ind, rows in zip(pop, held):
+        for _ in range(rows):
+            ind.archive.append(ind.genome)
+    noisy = NoisyProblem(_plane(), make_noise("none"))
+    res = race_select(pop, 2, RaceConfig(delta=0.75, t_max=t_max), noisy,
+                      make_rng(9), make_rng(10))
+    gained = [len(ind.archive) - rows for ind, rows in zip(pop, held)]
+    assert gained[1] == gained[3] == 0
+    assert gained[0] >= 1 and gained[2] >= 1
+    assert res.evaluations_used == noisy.evaluations == gained[0] + gained[2]
 
 
 def test_race_truncates_to_t_max_when_budget_runs_out():
@@ -393,16 +408,38 @@ def test_static_sample_count_and_archives():
 
 
 def test_static_skips_unchanged_individuals():
+    # An archive that already holds the sample count is not sampled again.
     pop = _pop([(0.0, 0.0), (1.0, 1.0)])
-    pop[1] = Individual(
-        np.array([1.0, 1.0]), SampleArchive([(9.0, 9.0)]), unchanged=True
-    )
+    pop[1] = Individual(np.array([1.0, 1.0]), SampleArchive([(9.0, 9.0)] * 3))
     noisy = NoisyProblem(_plane(), make_noise("none"))
     res = static_select(pop, 1, 3, EstimatorKind.MEAN, noisy, make_rng(16))
     assert res.evaluations_used == 3
-    assert len(pop[1].archive) == 1
+    assert len(pop[1].archive) == 3
     # the unchanged individual is judged by its archive estimate
     assert res.selected.tolist() == [0]
+
+
+def test_static_samples_exactly_the_archives_short_of_the_sample_count():
+    # Archives of n - 1 rows are sampled n more times; archives of n are not.
+    n = 3
+    pop = _pop([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+    for ind, rows in zip(pop, (n - 1, n, 0)):
+        for _ in range(rows):
+            ind.archive.append(ind.genome)
+    noisy = NoisyProblem(_plane(), make_noise("none"))
+    res = static_select(pop, 1, n, EstimatorKind.MEAN, noisy, make_rng(16))
+    assert [len(ind.archive) for ind in pop] == [2 * n - 1, n, n]
+    assert res.evaluations_used == noisy.evaluations == 2 * n
+
+
+def test_worst_generation_counts_parents_short_by_one_sample():
+    parents = _pop([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+    for ind, rows in zip(parents, (2, 3, 4)):
+        for _ in range(rows):
+            ind.archive.append(ind.genome)
+    # three offspring plus the one parent holding fewer than 3 samples
+    assert make_selector("static-avg", 3).worst_generation_evaluations(parents) == 4 * 3
+    assert make_selector("rsp-i", 4, 0.5).worst_generation_evaluations(parents) == 5 * 4
 
 
 def test_static_budget_guard():
@@ -417,7 +454,9 @@ def test_implicit_is_static_with_one_last_sample():
     noise = make_noise("gaussian")
     pop_a = _pop(points)
     pop_b = _pop(points)
-    res_a = implicit_select(pop_a, 2, NoisyProblem(_plane(), noise), make_rng(18))
+    res_a = make_selector("implicit").select(
+        pop_a, 2, NoisyProblem(_plane(), noise), make_rng(18), make_rng(0)
+    )
     res_b = static_select(
         pop_b, 2, 1, EstimatorKind.LAST, NoisyProblem(_plane(), noise), make_rng(18)
     )
@@ -510,7 +549,8 @@ def test_generation_produces_mu_survivors_with_fresh_metadata():
     assert next_mating.rank.shape == (8,)
     assert next_mating.crowding.shape == (8,)
     assert result.selected.size == 8
-    assert all(p.unchanged for p in parents)
+    # each parent already held its one sample, so none was sampled again
+    assert all(len(p.archive) == 1 for p in parents)
 
 
 def test_generation_matches_deterministic_selection_oracle():
@@ -587,7 +627,8 @@ def test_generation_evaluation_cost_is_bounded_by_the_race_cap():
     assert spent <= reserved
     # a parent that already holds t_max samples gains none
     assert [len(p.archive) for p in parents[:5]] == [t_max] * 5
-    assert [p.unchanged for p in parents] == [True] * 5 + [False] * 5
+    # a parent short of t_max is sampled in at least the first iteration
+    assert all(len(p.archive) > 1 for p in parents[5:])
 
 
 def test_static_generation_samples_one_sample_parents_up_to_the_budget():
@@ -603,7 +644,6 @@ def test_static_generation_samples_one_sample_parents_up_to_the_budget():
     survivors, _, result = nsga2_generation(
         parents, mating, selector, noisy, make_rng(75), make_rng(76), make_rng(77)
     )
-    assert not any(p.unchanged for p in parents)
     assert all(len(ind.archive) >= 5 for ind in survivors)
     assert all(len(p.archive) == 1 + 5 for p in parents)
     assert noisy.evaluations - before == result.evaluations_used == (10 + 10) * 5
@@ -637,10 +677,8 @@ def test_race_survivor_with_a_short_archive_is_sampled_again():
     _, _, second = nsga2_generation(survivors, mating, selector, noisy, *streams)
     assert noisy.evaluations - before == second.evaluations_used
     for i in short:
-        assert not survivors[i].unchanged
         assert len(survivors[i].archive) > lengths[i]
     for i in full:
-        assert survivors[i].unchanged
         assert len(survivors[i].archive) == lengths[i]
 
 
@@ -714,8 +752,8 @@ def _offspring_loop(parents, mating, lower, upper, rng, crossover_prob=1.0):
     def child(genome, pair):
         for parent, kind in zip(pair, "ab"):
             if np.array_equal(genome, parent.genome):
-                return Individual(genome.copy(), parent.archive.copy(), parent.unchanged), kind
-        return Individual(genome, SampleArchive(), unchanged=False), "new"
+                return Individual(genome.copy(), parent.archive.copy()), kind
+        return Individual(genome, SampleArchive()), "new"
 
     offspring, kinds = [], []
     while len(offspring) < len(parents):
@@ -800,12 +838,7 @@ def test_batched_mutation_matches_the_per_pair_reference(name, mutation_prob):
 class _PoolRecorder:
     """Stand-in selector: keeps the pool it is given and the first mu of it."""
 
-    def __init__(self, count):
-        self.count = count
-        self.pool = None
-
-    def holds_enough(self, ind):
-        return len(ind.archive) >= self.count
+    pool = None
 
     def select(self, pool, mu, noisy, eval_rng, boot_rng):
         self.pool = pool
@@ -816,7 +849,7 @@ class _PoolRecorder:
 def _variation_parents(problem, rng, mu):
     """Parents whose genomes repeat or differ in one coordinate, so that
     children clone parent a, parent b, or both, and whose archives differ
-    in length, so that their unchanged flags differ."""
+    in length, so that each clone's archive copy can be told apart."""
     genomes = _random_genomes(problem, rng, 3)
     genomes[1] = genomes[0]
     genomes[1, 0] = problem.lower[0] + 0.25 * (problem.upper[0] - problem.lower[0])
@@ -840,9 +873,8 @@ def _generation_against_the_loop(problem, mu, seed, crossover_prob=1.0):
         rank=setup.integers(0, 2, size=mu),
         crowding=setup.choice([0.5, 1.0, np.inf], size=mu),
     )
-    selector = _PoolRecorder(count=3)
-    twins = [Individual(p.genome.copy(), p.archive.copy(), selector.holds_enough(p))
-             for p in parents]
+    selector = _PoolRecorder()
+    twins = [Individual(p.genome.copy(), p.archive.copy()) for p in parents]
     variation = make_rng(95, seed)
     noisy = NoisyProblem(problem, make_noise("none"))
     nsga2_generation(parents, mating, selector, noisy, variation, make_rng(0), make_rng(1))
@@ -851,7 +883,6 @@ def _generation_against_the_loop(problem, mu, seed, crossover_prob=1.0):
         twins, mating, problem.lower, problem.upper, reference, crossover_prob
     )
     assert variation.bit_generator.state == reference.bit_generator.state
-    assert [p.unchanged for p in parents] == [p.unchanged for p in twins]
     return parents, selector.pool[mu:], want, kinds
 
 
@@ -866,7 +897,6 @@ def test_generation_variation_matches_the_per_pair_loop(name, mu):
         assert len(got) == len(want) == mu
         for g, w in zip(got, want):
             assert g.genome.tobytes() == w.genome.tobytes()
-            assert g.unchanged == w.unchanged
             assert len(g.archive) == len(w.archive)
             if len(w.archive):
                 assert g.archive.as_array().tobytes() == w.archive.as_array().tobytes()
