@@ -8,6 +8,7 @@ from pathlib import Path
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    canonical_algorithm,
     emit_boxplot_data,
     expand_grid,
     parse_grid,
@@ -55,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    algo = args.algo.lower()
+    algo = canonical_algorithm(args.algo)
     if algo != "implicit" and args.budget is None:
         raise ConfigError(f"--budget is required for algorithm {algo!r}")
     if algo.startswith("rsp") and args.confidence is None:

@@ -71,6 +71,16 @@ def default_seeds(master_seed: int = 0, runs: int = DEFAULT_RUNS) -> tuple[int, 
     return tuple(range(master_seed, master_seed + runs))
 
 
+def canonical_algorithm(name) -> str:
+    """Lower-case an algorithm id; an unknown one is a ConfigError listing the valid ids."""
+    algorithm = str(name).lower()
+    try:
+        algorithm_estimator(algorithm)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return algorithm
+
+
 @dataclass(unsafe_hash=True)
 class ExperimentConfig:
     """One cell of the experiment grid plus its seeds.
@@ -104,11 +114,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown noise: {self.noise!r} (valid: {', '.join(NOISE_NAMES)})"
             )
-        self.algorithm = str(self.algorithm).lower()
-        if self.algorithm not in ALGORITHM_IDS:
-            raise ConfigError(
-                f"unknown algorithm: {self.algorithm!r} (valid: {', '.join(ALGORITHM_IDS)})"
-            )
+        self.algorithm = canonical_algorithm(self.algorithm)
         self.sampling_budget = int(self.sampling_budget)
         self.confidence = float(self.confidence)
         if self.algorithm == "implicit":
@@ -648,7 +654,7 @@ def expand_grid(grid: dict) -> list[ExperimentConfig]:
     """
     problems = grid.get("problems") or list(PROBLEM_NAMES)
     noises = grid.get("noises") or list(NOISE_NAMES)
-    algorithms = [a.lower() for a in grid.get("algorithms") or ALGORITHM_IDS]
+    algorithms = [canonical_algorithm(a) for a in grid.get("algorithms") or ALGORITHM_IDS]
     budgets = [_number("budgets", b, int) for b in grid.get("budgets", [])]
     confidences = [_number("confidences", c, float) for c in grid.get("confidences", [])]
     master_seed = _number("master_seed", grid.get("master_seed", 0), int)

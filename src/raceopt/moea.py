@@ -1,6 +1,7 @@
 """NSGA-II building blocks: dominance, sorting, crowding, variation."""
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,31 +16,108 @@ def dominates(a, b) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
-def nondominated_sort(points) -> list[np.ndarray]:
-    """Partition points into fronts by repeated removal of nondominated sets.
-
-    Returns a list of index arrays (each ascending); front 0 holds the
-    nondominated points of the whole set, front r the points that become
-    nondominated once fronts 0..r-1 are removed. Duplicates never dominate
-    each other and land in the same front.
-    """
+def _points(points) -> np.ndarray:
+    """The objective points as a float array; bad input is a ValueError."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-d array")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    return pts
+
+
+def _peel(pts: np.ndarray) -> np.ndarray:
+    """Front number of each point by repeated removal of nondominated sets.
+
+    O(n^2 k); the path for any number of objectives but two.
+    """
     n = pts.shape[0]
     le = np.all(pts[:, None, :] <= pts[None, :, :], axis=-1)
     lt = np.any(pts[:, None, :] < pts[None, :, :], axis=-1)
     dom = le & lt  # dom[i, j]: i dominates j
     counts = dom.sum(axis=0)
     active = np.ones(n, dtype=bool)
-    fronts: list[np.ndarray] = []
+    rank = np.empty(n, dtype=int)
+    r = 0
     while active.any():
         front = np.flatnonzero(active & (counts == 0))
-        fronts.append(front)
+        rank[front] = r
+        r += 1
         active[front] = False
         counts = counts - dom[front].sum(axis=0)
         counts[~active] = 1  # keep retired points out of later fronts
-    return fronts
+    return rank
+
+
+def _ranks(pts: np.ndarray) -> np.ndarray:
+    """Front number of each point (0 = nondominated).
+
+    Two objectives take one sweep in (f1, f2) order, after Jensen (IEEE
+    TEVC 7(5), 2003): every earlier point has f1 no larger, so it
+    dominates the current one iff its f2 is no larger and the two points
+    differ. ``lows[r]``, front r's smallest f2 so far, never decreases
+    with r, so the fronts holding a dominator are the first
+    ``bisect_right(lows, f2)``. A point equal to the one before it takes
+    that point's front, since duplicates never dominate each other.
+    """
+    if pts.shape[1] != 2:
+        return _peel(pts)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    rank = [0] * pts.shape[0]
+    lows: list[float] = []
+    prev = None
+    r = 0
+    for i, point in zip(order.tolist(), pts[order].tolist()):
+        if point != prev:
+            f2 = point[1]
+            r = bisect_right(lows, f2)
+            if r == len(lows):
+                lows.append(f2)
+            else:
+                lows[r] = f2
+            prev = point
+        rank[i] = r
+    return np.array(rank)
+
+
+def _crowding(pts: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Crowding distance of every point within its own front.
+
+    Per objective, one sort by (front, value, index) lines up every front;
+    each front's first and last points get infinity, and interior points
+    add the gap between their neighbours over the front's spread, unless
+    that spread is zero. Objectives add in order, so each float equals a
+    front-by-front computation.
+    """
+    n = pts.shape[0]
+    index = np.arange(n)
+    dist = np.zeros(n)
+    edge = np.ones(n + 1, dtype=bool)
+    for j in range(pts.shape[1]):
+        order = np.lexsort((index, pts[:, j], rank))
+        vals = pts[order, j]
+        np.not_equal(rank[order[1:]], rank[order[:-1]], out=edge[1:-1])
+        first = edge[:-1]
+        last = edge[1:]
+        ends = first | last
+        spread = (vals[last] - vals[first])[np.cumsum(first) - 1]
+        inner = np.flatnonzero(~ends & (spread > 0.0))
+        dist[order[ends]] = np.inf
+        dist[order[inner]] += (vals[inner + 1] - vals[inner - 1]) / spread[inner]
+    return dist
+
+
+def nondominated_sort(points) -> list[np.ndarray]:
+    """Partition points into fronts by Pareto dominance (minimization).
+
+    Returns a list of index arrays (each ascending); front 0 holds the
+    nondominated points of the whole set, front r the points that become
+    nondominated once fronts 0..r-1 are removed. Duplicates never dominate
+    each other and land in the same front. Non-finite points are rejected.
+    """
+    rank = _ranks(_points(points))
+    order = np.argsort(rank, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(rank[order])) + 1)
 
 
 def crowding_distance(points) -> np.ndarray:
@@ -51,20 +129,8 @@ def crowding_distance(points) -> np.ndarray:
     original order (stable sort), so with duplicated points the lowest and
     highest indices act as the boundaries.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must be a non-empty 2-d array")
-    m = pts.shape[0]
-    dist = np.zeros(m)
-    for j in range(pts.shape[1]):
-        order = np.argsort(pts[:, j], kind="stable")
-        vals = pts[order, j]
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        spread = vals[-1] - vals[0]
-        if m > 2 and spread > 0.0:
-            dist[order[1:-1]] += (vals[2:] - vals[:-2]) / spread
-    return dist
+    pts = _points(points)
+    return _crowding(pts, np.zeros(pts.shape[0], dtype=int))
 
 
 @dataclass(frozen=True)
@@ -87,31 +153,14 @@ def environmental_select(points, mu: int) -> SelectionOutcome:
     Whole fronts are taken while they fit; the splitting front is truncated
     by descending crowding distance, ties broken by lower index.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must be a non-empty 2-d array")
+    pts = _points(points)
     n = pts.shape[0]
     if not 1 <= mu <= n:
         raise ValueError(f"mu must be in [1, {n}], got {mu}")
-    fronts = nondominated_sort(pts)
-    rank = np.empty(n, dtype=int)
-    crowding = np.empty(n)
-    for r, front in enumerate(fronts):
-        rank[front] = r
-        crowding[front] = crowding_distance(pts[front])
-    chosen: list[np.ndarray] = []
-    space = mu
-    for front in fronts:
-        if front.size <= space:
-            chosen.append(front)
-            space -= front.size
-            if space == 0:
-                break
-        else:
-            order = np.lexsort((front, -crowding[front]))
-            chosen.append(front[order[:space]])
-            break
-    selected = np.sort(np.concatenate(chosen))
+    rank = _ranks(pts)
+    crowding = _crowding(pts, rank)
+    best = np.lexsort((np.arange(n), -crowding, rank))
+    selected = np.sort(best[:mu])
     return SelectionOutcome(selected=selected, rank=rank, crowding=crowding)
 
 

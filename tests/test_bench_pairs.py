@@ -1,0 +1,49 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_summary_of_a_lower_is_better_metric():
+    parent = [2.0, 1.0, 4.0, 3.0, 5.0]
+    change = [1.5, 1.2, 2.0, 1.0, 1.1]
+    s = bench_pairs.summarize(parent, change, "lower", 0.25)
+    assert s["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0, "runs": parent}
+    assert s["change"]["median"] == 1.2
+    assert (s["change"]["q1"], s["change"]["q3"]) == (1.1, 1.5)
+    assert s["change_wins"] == "4/5"  # pair 2 went the other way
+    assert s["worse_by"] == pytest.approx(-0.6)
+    assert s["bound"] == 0.25
+    assert s["parent_iqr"] == 2.0
+    assert not s["gap_exceeds_parent_iqr"]  # the medians are 1.8 apart
+    s = bench_pairs.summarize([3.0, 3.1, 2.9], [1.0, 1.1, 0.9], "lower")
+    assert s["change_wins"] == "3/3"
+    assert s["gap_exceeds_parent_iqr"]
+
+
+def test_summary_of_a_higher_is_better_metric_counts_a_worse_median():
+    s = bench_pairs.summarize([10.0, 12.0, 11.0], [9.0, 12.0, 8.0], "higher")
+    assert s["change_wins"] == "0/3"  # a tie is not a win
+    assert s["worse_by"] == pytest.approx(2.0 / 11.0)
+    assert not s["gap_exceeds_parent_iqr"]
+
+
+def test_summary_of_one_pair_and_of_a_zero_median():
+    s = bench_pairs.summarize([0.0], [0.0], "lower")
+    assert s["parent"] == {"median": 0.0, "q1": 0.0, "q3": 0.0, "runs": [0.0]}
+    assert s["worse_by"] is None
+    assert s["change_wins"] == "0/1"
+
+
+def test_summary_rejects_unpaired_runs_and_unknown_directions():
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([1.0, 2.0], [1.0], "lower")
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([], [], "lower")
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([1.0], [1.0], "faster")

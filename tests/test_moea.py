@@ -35,6 +35,141 @@ def _brute_force_fronts(points):
 
 
 # ---------------------------------------------------------------------------
+# oracles: the dominance-matrix peel and per-front crowding that the
+# bi-objective kernel replaced, kept verbatim apart from their names
+
+
+def _oracle_nondominated_sort(points) -> list[np.ndarray]:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValueError("points must be a non-empty 2-d array")
+    n = pts.shape[0]
+    le = np.all(pts[:, None, :] <= pts[None, :, :], axis=-1)
+    lt = np.any(pts[:, None, :] < pts[None, :, :], axis=-1)
+    dom = le & lt  # dom[i, j]: i dominates j
+    counts = dom.sum(axis=0)
+    active = np.ones(n, dtype=bool)
+    fronts: list[np.ndarray] = []
+    while active.any():
+        front = np.flatnonzero(active & (counts == 0))
+        fronts.append(front)
+        active[front] = False
+        counts = counts - dom[front].sum(axis=0)
+        counts[~active] = 1  # keep retired points out of later fronts
+    return fronts
+
+
+def _oracle_crowding_distance(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValueError("points must be a non-empty 2-d array")
+    m = pts.shape[0]
+    dist = np.zeros(m)
+    for j in range(pts.shape[1]):
+        order = np.argsort(pts[:, j], kind="stable")
+        vals = pts[order, j]
+        dist[order[0]] = np.inf
+        dist[order[-1]] = np.inf
+        spread = vals[-1] - vals[0]
+        if m > 2 and spread > 0.0:
+            dist[order[1:-1]] += (vals[2:] - vals[:-2]) / spread
+    return dist
+
+
+def _oracle_environmental_select(points, mu: int) -> SelectionOutcome:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValueError("points must be a non-empty 2-d array")
+    n = pts.shape[0]
+    if not 1 <= mu <= n:
+        raise ValueError(f"mu must be in [1, {n}], got {mu}")
+    fronts = _oracle_nondominated_sort(pts)
+    rank = np.empty(n, dtype=int)
+    crowding = np.empty(n)
+    for r, front in enumerate(fronts):
+        rank[front] = r
+        crowding[front] = _oracle_crowding_distance(pts[front])
+    chosen: list[np.ndarray] = []
+    space = mu
+    for front in fronts:
+        if front.size <= space:
+            chosen.append(front)
+            space -= front.size
+            if space == 0:
+                break
+        else:
+            order = np.lexsort((front, -crowding[front]))
+            chosen.append(front[order[:space]])
+            break
+    selected = np.sort(np.concatenate(chosen))
+    return SelectionOutcome(selected=selected, rank=rank, crowding=crowding)
+
+
+# Signed zeros, the largest finite magnitudes (whose differences overflow)
+# and subnormals, beside ordinary values.
+_EDGE_VALUES = np.array(
+    [0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 3.0]
+)
+
+
+def _bi_objective_set(rng) -> np.ndarray:
+    """One random bi-objective set of 1 to 120 points, of one of six kinds."""
+    n = int(rng.integers(1, 121))
+    kind = int(rng.integers(6))
+    if kind == 0:  # continuous
+        return rng.random((n, 2))
+    if kind == 1:  # integer grid: ties on both objectives, whole duplicates
+        return rng.integers(0, int(rng.integers(1, 8)), (n, 2)).astype(float)
+    if kind == 2:  # ties on one objective only
+        pts = rng.random((n, 2))
+        pts[:, int(rng.integers(2))] = rng.integers(0, 4, n)
+        return pts
+    if kind == 3:  # edge values only
+        return rng.choice(_EDGE_VALUES, (n, 2))
+    if kind == 4:  # a few distinct points, each repeated
+        distinct = rng.random((int(rng.integers(1, 6)), 2))
+        return distinct[rng.integers(0, len(distinct), n)]
+    pts = rng.integers(-3, 4, (n, 2)).astype(float)  # a grid sprinkled with edge values
+    edge = rng.random((n, 2)) < 0.3
+    pts[edge] = rng.choice(_EDGE_VALUES, int(edge.sum()))
+    return pts
+
+
+def test_kernel_matches_the_peel_and_per_front_crowding_oracles():
+    rng = np.random.default_rng(35)
+    kinds = set()
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e308 - -1e308 overflows
+        for _ in range(3000):
+            pts = _bi_objective_set(rng)
+            mu = int(rng.integers(1, len(pts) + 1))
+            want_fronts = _oracle_nondominated_sort(pts)
+            got_fronts = nondominated_sort(pts)
+            assert [f.tolist() for f in got_fronts] == [f.tolist() for f in want_fronts]
+            for front in want_fronts:
+                got = crowding_distance(pts[front])
+                assert got.tobytes() == _oracle_crowding_distance(pts[front]).tobytes()
+            want = _oracle_environmental_select(pts, mu)
+            got = environmental_select(pts, mu)
+            assert got.rank.dtype == want.rank.dtype
+            assert got.rank.tolist() == want.rank.tolist()
+            assert got.selected.tolist() == want.selected.tolist()
+            assert got.crowding.tobytes() == want.crowding.tobytes()
+            kinds.add((len(want_fronts) > 1, len(np.unique(pts, axis=0)) < len(pts)))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_rejected(bad):
+    pts = [[0.0, 1.0], [bad, 0.5], [1.0, 0.0], [2.0, 2.0]]
+    with pytest.raises(ValueError, match="finite"):
+        nondominated_sort(pts)
+    with pytest.raises(ValueError, match="finite"):
+        crowding_distance(pts)
+    with pytest.raises(ValueError, match="finite"):
+        environmental_select(pts, 2)
+
+
+# ---------------------------------------------------------------------------
 # dominance and sorting
 
 
