@@ -14,8 +14,9 @@ Run from anywhere, e.g.:
         --workloads implicit-gauss grid-batch score-campaign \\
         --traced implicit-gauss grid-batch --out BENCH_topic.json
 
-Runs happen one at a time; they take about as long as the benchmark's
-own ``--seconds`` each.
+Runs happen one at a time, each ``--seconds 30`` long as the benchmark
+fixes it, on both sides alike. A claim needs at least 10 pairs, so fewer
+are refused.
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SHA_LINE = re.compile(r"output sha256 (\[.*\])")
+SECONDS = 30  # the run length perfbench/README.md fixes
+MIN_PAIRS = 10
 
 
 def export(rev: str, dest: Path) -> str:
@@ -44,10 +47,10 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: bool) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
     """One perfbench invocation in ``checkout``: its verdict, metric values and digests."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "1" if trace else "0"]
+           "--seconds", str(SECONDS), "--trace", "1" if trace else "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -109,7 +112,7 @@ def _pairs(sides: dict, workload: str, args) -> dict:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         first.append(order[0])
         for side in order:
-            runs[side].append(run_once(sides[side], workload, args.seed, args.seconds, False))
+            runs[side].append(run_once(sides[side], workload, args.seed, False))
         print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
             f"{side} wall_s {runs[side][-1]['metrics'].get('wall_s')}" for side in order),
             file=sys.stderr, flush=True)
@@ -139,26 +142,25 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--traced", nargs="*", default=[], help="workloads to trace once per side")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}, got {args.pairs}")
     work = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
         parent_commit = export(args.parent, work / "parent")
         sides = {"parent": work / "parent", "change": ROOT}
         report = {
             "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
-                       f"--seconds {args.seconds} --trace 0",
+                       f"--seconds {SECONDS} --trace 0",
             "method": "parent exported with git archive, change run from its checkout; "
                       "pairs alternate which side runs first; medians and quartiles over "
                       "the per-run values, each a median over that run's passes",
             "parent_commit": parent_commit,
             "workloads": {w: _pairs(sides, w, args) for w in args.workloads},
             "traced": {
-                w: {side: run_once(path, w, args.seed, args.seconds, True)
+                w: {side: run_once(path, w, args.seed, True)
                     for side, path in sides.items()}
                 for w in args.traced
             },

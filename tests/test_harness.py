@@ -479,11 +479,11 @@ def test_expand_grid_lower_cases_algorithm_ids():
     assert expand_grid({"problems": ["zdt1"], "noises": ["none"], "algorithms": ["IMPLICIT"]})
 
 
-
 def test_expand_grid_names_an_unknown_algorithm_before_its_missing_budgets():
     grid = {"problems": ["zdt1"], "noises": ["none"], "algorithms": ["racing"]}
     with pytest.raises(ConfigError, match=r"unknown algorithm: 'racing' \(valid: implicit, "):
         expand_grid(grid)
+
 
 def test_parse_grid_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown grid key"):
@@ -642,7 +642,6 @@ def test_cli_run_lower_cases_the_algorithm_id(tmp_path, capsys):
     assert "--confidence is required for algorithm 'rsp-med'" in capsys.readouterr().err
 
 
-
 def test_cli_run_names_an_unknown_algorithm_before_its_missing_budget(tmp_path, capsys):
     code = cli_main(["run", "--problem", "zdt1", "--noise", "none", "--algo", "Racing",
                      "--seed", "0", "--out", str(tmp_path / "run.csv")])
@@ -650,6 +649,7 @@ def test_cli_run_names_an_unknown_algorithm_before_its_missing_budget(tmp_path, 
     err = capsys.readouterr().err
     assert "unknown algorithm: 'racing' (valid: implicit, " in err
     assert "--budget" not in err
+
 
 def test_cli_batch(tmp_path):
     grid_path = tmp_path / "grid.cfg"

@@ -18,45 +18,24 @@ from raceopt.problems import PROBLEM_NAMES, make_problem
 
 
 def _brute_force_fronts(points):
-    pts = [tuple(p) for p in points]
-    n = len(pts)
-    remaining = set(range(n))
+    """Fronts by definition: again and again, take every remaining point
+    that no remaining point dominates."""
+    pts = np.asarray(points, dtype=float)
+    # dom[i, j]: point i is nowhere worse than point j and somewhere better
+    dom = np.all(pts[:, None] <= pts[None], axis=-1) & np.any(pts[:, None] < pts[None], axis=-1)
+    remaining = np.arange(len(pts))
     fronts = []
-    while remaining:
-        front = []
-        for i in remaining:
-            if not any(
-                j != i and dominates(pts[j], pts[i]) for j in remaining
-            ):
-                front.append(i)
-        fronts.append(sorted(front))
-        remaining -= set(front)
+    while remaining.size:
+        dominated = dom[np.ix_(remaining, remaining)].any(axis=0)
+        fronts.append(remaining[~dominated].tolist())
+        remaining = remaining[dominated]
     return fronts
 
 
 # ---------------------------------------------------------------------------
-# oracles: the dominance-matrix peel and per-front crowding that the
-# bi-objective kernel replaced, kept verbatim apart from their names
-
-
-def _oracle_nondominated_sort(points) -> list[np.ndarray]:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must be a non-empty 2-d array")
-    n = pts.shape[0]
-    le = np.all(pts[:, None, :] <= pts[None, :, :], axis=-1)
-    lt = np.any(pts[:, None, :] < pts[None, :, :], axis=-1)
-    dom = le & lt  # dom[i, j]: i dominates j
-    counts = dom.sum(axis=0)
-    active = np.ones(n, dtype=bool)
-    fronts: list[np.ndarray] = []
-    while active.any():
-        front = np.flatnonzero(active & (counts == 0))
-        fronts.append(front)
-        active[front] = False
-        counts = counts - dom[front].sum(axis=0)
-        counts[~active] = 1  # keep retired points out of later fronts
-    return fronts
+# oracles: the per-front crowding and the selection that the bi-objective
+# kernel replaced, kept verbatim apart from their names; the fronts come
+# from _brute_force_fronts
 
 
 def _oracle_crowding_distance(points) -> np.ndarray:
@@ -83,7 +62,7 @@ def _oracle_environmental_select(points, mu: int) -> SelectionOutcome:
     n = pts.shape[0]
     if not 1 <= mu <= n:
         raise ValueError(f"mu must be in [1, {n}], got {mu}")
-    fronts = _oracle_nondominated_sort(pts)
+    fronts = [np.array(f) for f in _brute_force_fronts(pts)]
     rank = np.empty(n, dtype=int)
     crowding = np.empty(n)
     for r, front in enumerate(fronts):
@@ -135,16 +114,15 @@ def _bi_objective_set(rng) -> np.ndarray:
     return pts
 
 
-def test_kernel_matches_the_peel_and_per_front_crowding_oracles():
+def test_kernel_matches_brute_force_fronts_and_the_per_front_crowding_oracles():
     rng = np.random.default_rng(35)
     kinds = set()
     with np.errstate(over="ignore", invalid="ignore"):  # 1e308 - -1e308 overflows
         for _ in range(3000):
             pts = _bi_objective_set(rng)
             mu = int(rng.integers(1, len(pts) + 1))
-            want_fronts = _oracle_nondominated_sort(pts)
-            got_fronts = nondominated_sort(pts)
-            assert [f.tolist() for f in got_fronts] == [f.tolist() for f in want_fronts]
+            want_fronts = _brute_force_fronts(pts)
+            assert [f.tolist() for f in nondominated_sort(pts)] == want_fronts
             for front in want_fronts:
                 got = crowding_distance(pts[front])
                 assert got.tobytes() == _oracle_crowding_distance(pts[front]).tobytes()
