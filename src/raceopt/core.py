@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,14 +61,16 @@ class SampleArchive:
 
     The rows live in one preallocated float buffer that doubles when it
     fills; ``as_array`` is a read-only view of the rows written so far.
-    Every row is finite and all rows have the same length.
+    Every row is finite and all rows have the same length. ``estimate``
+    keeps its last result, read-only, until the next ``append``.
     """
 
-    __slots__ = ("_buffer", "_count")
+    __slots__ = ("_buffer", "_count", "_estimate")
 
     def __init__(self, rows=None) -> None:
         self._buffer: np.ndarray | None = None
         self._count = 0
+        self._estimate: tuple[EstimatorKind, np.ndarray] | None = None
         if rows is not None:
             for row in rows:
                 self.append(row)
@@ -76,7 +79,8 @@ class SampleArchive:
         row = np.asarray(point, dtype=float)
         if row.ndim != 1 or row.size == 0:
             raise ValueError("objective point must be a non-empty 1-d array")
-        if not np.isfinite(row).all():
+        # Python floats: cheaper than a numpy reduction over a short row.
+        if not all(map(math.isfinite, row.tolist())):
             raise ValueError(f"objective point must be finite, got {row.tolist()}")
         buffer = self._buffer
         if buffer is None:
@@ -91,6 +95,7 @@ class SampleArchive:
             buffer = self._buffer = grown
         buffer[self._count] = row
         self._count += 1
+        self._estimate = None
 
     def as_array(self) -> np.ndarray:
         if not self._count:
@@ -100,13 +105,18 @@ class SampleArchive:
         return rows
 
     def estimate(self, kind: EstimatorKind) -> np.ndarray:
-        return estimator_value(self.as_array(), kind)
+        if self._estimate is None or self._estimate[0] is not kind:
+            value = estimator_value(self.as_array(), kind)
+            value.flags.writeable = False
+            self._estimate = (kind, value)
+        return self._estimate[1]
 
     def copy(self) -> "SampleArchive":
         dup = SampleArchive()
         if self._buffer is not None:
             dup._buffer = self._buffer.copy()
         dup._count = self._count
+        dup._estimate = self._estimate
         return dup
 
     def __len__(self) -> int:
@@ -115,17 +125,21 @@ class SampleArchive:
 
 @dataclass
 class Individual:
-    """A decision vector plus its accumulated noisy objective samples.
+    """A decision vector, its exact objectives and its accumulated noisy
+    objective samples.
 
     Every sample in the archive is of the current genome: a clone inherits
-    a copy of its parent's archive, a new child starts empty.
+    its parent's objectives and a copy of its parent's archive, a new child
+    starts empty.
     """
 
     genome: np.ndarray
+    objectives: np.ndarray
     archive: SampleArchive = field(default_factory=SampleArchive)
 
     def __post_init__(self) -> None:
         self.genome = np.asarray(self.genome, dtype=float)
+        self.objectives = np.asarray(self.objectives, dtype=float)
 
 
 def make_rng(*keys: int) -> np.random.Generator:

@@ -188,21 +188,20 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunRecord:
     """
     problem = make_problem(cfg.problem)
     noise = make_noise(cfg.noise)
-    noisy = NoisyProblem(problem, noise, cfg.max_evaluations)
+    noisy = NoisyProblem(problem, noise, make_rng(seed, STREAM_EVAL), cfg.max_evaluations)
     selector = make_selector(
         cfg.algorithm, cfg.sampling_budget, cfg.confidence, cfg.proximity_threshold
     )
     init_rng = make_rng(seed, STREAM_INIT)
-    eval_rng = make_rng(seed, STREAM_EVAL)
     variation_rng = make_rng(seed, STREAM_VARIATION)
     boot_rng = make_rng(seed, STREAM_BOOTSTRAP)
 
     genomes = init_rng.uniform(
         problem.lower, problem.upper, size=(cfg.population_size, problem.n_variables)
     )
-    parents = [Individual(g) for g in genomes]
+    parents = [Individual(g, f) for g, f in zip(genomes, problem.true_eval(genomes))]
     for ind in parents:
-        ind.archive.append(noisy.evaluate(ind.genome, eval_rng))
+        ind.archive.append(noisy.evaluate(ind.objectives))
     reps = np.vstack([ind.archive.estimate(selector.estimator) for ind in parents])
     mating = environmental_select(reps, cfg.population_size)
 
@@ -212,7 +211,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunRecord:
         if not noisy.can_afford(selector.worst_generation_evaluations(parents)):
             break
         parents, mating, result = nsga2_generation(
-            parents, mating, selector, noisy, variation_rng, eval_rng, boot_rng
+            parents, mating, selector, noisy, variation_rng, boot_rng
         )
         generation += 1
         gen_rows.append(
@@ -226,9 +225,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunRecord:
     # Assessment scores the true objectives of the surviving genomes: a
     # noisy archive estimate can land below the attainable front (a
     # Cauchy-corrupted mean does this routinely) and would be credited
-    # with impossible hypervolume. These evaluations are measurement,
-    # not search, so they bypass the noise model and the budget counter.
-    final_points = np.vstack([problem.true_eval(ind.genome) for ind in parents])
+    # with impossible hypervolume. These values are measurement, not
+    # search, so they bypass the noise model and the budget counter.
+    final_points = np.vstack([ind.objectives for ind in parents])
     return RunRecord(
         config=cfg,
         seed=seed,

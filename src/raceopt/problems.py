@@ -31,7 +31,11 @@ ZDT6_F1_MIN = 1.0 - math.exp(-4.0 * _ZDT6_X_STAR) * math.sin(6.0 * math.pi * _ZD
 
 @dataclass(frozen=True)
 class Problem:
-    """A benchmark problem: decision space in a finite box, two objectives."""
+    """A benchmark problem: decision space in a finite box, two objectives.
+
+    ``_eval`` maps one genome, shape (n,), or a stack of genomes, shape
+    (m, n), to objectives of shape (2,) or (m, 2).
+    """
 
     name: str
     n_variables: int
@@ -45,10 +49,15 @@ class Problem:
         return 2
 
     def true_eval(self, x) -> np.ndarray:
-        """Exact objective values; rejects out-of-domain vectors, NaN and
-        infinite components included (no comparison with a NaN holds)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_variables,):
+        """Exact objective values of one genome, shape (2,), or of a stack
+        of genomes, shape (m, 2), row for row as one genome gives them.
+
+        Rejects out-of-domain genomes, NaN and infinite components included
+        (no comparison with a NaN holds).
+        """
+        # C order keeps each genome's sums in the order one genome sums in.
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n_variables:
             raise ValueError(
                 f"domain-violation: {self.name} expects {self.n_variables} variables, "
                 f"got shape {x.shape}"
@@ -71,41 +80,52 @@ class Problem:
         return self._front(count)
 
 
+# Each formula reads the coordinates of x.T: one genome gives numpy
+# scalars and a stack of genomes gives one value per genome, so a single
+# genome costs scalar arithmetic only.
+
+
+def _powers(values, exponent: float):
+    """``values ** exponent``, one numpy scalar at a time.
+
+    On numpy 2.4 a scalar ``**`` differs from an array ``**`` in the last
+    bit for some values, and seeded run files pin the scalar results.
+    """
+    if isinstance(values, np.ndarray):
+        return np.array([value**exponent for value in values])
+    return values**exponent
+
+
 def _zdt1_eval(x: np.ndarray) -> np.ndarray:
-    f1 = x[0]
-    g = 1.0 + 9.0 * x[1:].sum() / (x.size - 1)
-    f2 = g * (1.0 - np.sqrt(f1 / g))
-    return np.array([f1, f2])
+    f1, tail = x.T[0], x.T[1:]
+    g = 1.0 + 9.0 * tail.sum(axis=0) / tail.shape[0]
+    return np.array([f1, g * (1.0 - np.sqrt(f1 / g))]).T
 
 
 def _zdt2_eval(x: np.ndarray) -> np.ndarray:
-    f1 = x[0]
-    g = 1.0 + 9.0 * x[1:].sum() / (x.size - 1)
-    f2 = g * (1.0 - (f1 / g) ** 2)
-    return np.array([f1, f2])
+    f1, tail = x.T[0], x.T[1:]
+    g = 1.0 + 9.0 * tail.sum(axis=0) / tail.shape[0]
+    return np.array([f1, g * (1.0 - _powers(f1 / g, 2))]).T
 
 
 def _zdt3_eval(x: np.ndarray) -> np.ndarray:
-    f1 = x[0]
-    g = 1.0 + 9.0 * x[1:].sum() / (x.size - 1)
+    f1, tail = x.T[0], x.T[1:]
+    g = 1.0 + 9.0 * tail.sum(axis=0) / tail.shape[0]
     ratio = f1 / g
-    f2 = g * (1.0 - np.sqrt(ratio) - ratio * np.sin(10.0 * np.pi * f1))
-    return np.array([f1, f2])
+    return np.array([f1, g * (1.0 - np.sqrt(ratio) - ratio * np.sin(10.0 * np.pi * f1))]).T
 
 
 def _zdt4_eval(x: np.ndarray) -> np.ndarray:
-    f1 = x[0]
-    tail = x[1:]
-    g = 1.0 + 10.0 * tail.size + np.sum(tail**2 - 10.0 * np.cos(4.0 * np.pi * tail))
-    f2 = g * (1.0 - np.sqrt(f1 / g))
-    return np.array([f1, f2])
+    f1, tail = x.T[0], x.T[1:]
+    g = 1.0 + 10.0 * tail.shape[0] + np.sum(tail**2 - 10.0 * np.cos(4.0 * np.pi * tail), axis=0)
+    return np.array([f1, g * (1.0 - np.sqrt(f1 / g))]).T
 
 
 def _zdt6_eval(x: np.ndarray) -> np.ndarray:
-    f1 = 1.0 - np.exp(-4.0 * x[0]) * np.sin(6.0 * np.pi * x[0]) ** 6
-    g = 1.0 + 9.0 * (x[1:].sum() / (x.size - 1)) ** 0.25
-    f2 = g * (1.0 - (f1 / g) ** 2)
-    return np.array([f1, f2])
+    x1, tail = x.T[0], x.T[1:]
+    f1 = 1.0 - np.exp(-4.0 * x1) * _powers(np.sin(6.0 * np.pi * x1), 6)
+    g = 1.0 + 9.0 * _powers(tail.sum(axis=0) / tail.shape[0], 0.25)
+    return np.array([f1, g * (1.0 - _powers(f1 / g, 2))]).T
 
 
 def _convex_front(count: int) -> np.ndarray:
@@ -184,6 +204,9 @@ GUMBEL_LOCATION = 2.0 * math.log(math.log(2.0))
 
 _REDRAW_CAP = 100
 
+# Noise rows a NoisyProblem draws from its generator at a time.
+NOISE_BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -202,15 +225,17 @@ class NoiseModel:
                 return eps
         raise RuntimeError(f"noise model {self.kind} produced non-finite draws {_REDRAW_CAP} times")
 
-    def _draw_once(self, k: int, rng: np.random.Generator) -> np.ndarray:
+    def _draw_once(self, size, rng: np.random.Generator) -> np.ndarray:
+        """Raw draws of shape ``size``: k values for one vector, or (rows, k)
+        for a block, filled row by row as that many k-value draws would be."""
         if self.kind == NoiseKind.NONE:
-            return np.zeros(k)
+            return np.zeros(size)
         if self.kind == NoiseKind.GAUSSIAN:
-            return rng.normal(0.0, 0.25, size=k)
+            return rng.normal(0.0, 0.25, size=size)
         if self.kind == NoiseKind.CAUCHY:
-            return 0.25 * rng.standard_cauchy(size=k)
+            return 0.25 * rng.standard_cauchy(size=size)
         if self.kind == NoiseKind.GUMBEL:
-            return rng.gumbel(GUMBEL_LOCATION, GUMBEL_SCALE, size=k)
+            return rng.gumbel(GUMBEL_LOCATION, GUMBEL_SCALE, size=size)
         raise ValueError(f"unknown noise model: {self.kind!r}")
 
 
@@ -224,22 +249,33 @@ def make_noise(name: str) -> NoiseModel:
 class NoisyProblem:
     """A problem observed through additive noise, with an evaluation budget.
 
-    Every call to ``evaluate`` burns one evaluation regardless of the noise
-    model. ``max_evaluations=None`` disables the cap.
+    The noise stream belongs to the problem: ``rng`` is read in blocks of
+    ``NOISE_BLOCK_ROWS`` rows, and each evaluation takes the next finite
+    row. That gives the values of one ``NoiseModel.draw`` per evaluation,
+    since a redraw reads exactly the next row. Every call to ``evaluate``
+    burns one evaluation regardless of the noise model.
+    ``max_evaluations=None`` disables the cap.
     """
 
     def __init__(
         self,
         problem: Problem,
         noise: NoiseModel,
+        rng: np.random.Generator | None = None,
         max_evaluations: int | None = None,
     ) -> None:
         if max_evaluations is not None and max_evaluations < 0:
             raise ValueError("max_evaluations must be non-negative")
+        if rng is None and noise.kind != NoiseKind.NONE:
+            raise ValueError(f"noise model {noise.kind!r} needs a generator")
         self.problem = problem
         self.noise = noise
         self.max_evaluations = max_evaluations
         self.evaluations = 0
+        self._rng = rng
+        # The rows of the current block, None where a row is not finite.
+        self._rows: list[np.ndarray | None] = []
+        self._next = 0
 
     @property
     def remaining(self) -> int | None:
@@ -250,9 +286,32 @@ class NoisyProblem:
     def can_afford(self, count: int) -> bool:
         return self.remaining is None or self.remaining >= count
 
-    def evaluate(self, x, rng: np.random.Generator) -> np.ndarray:
+    def evaluate(self, objectives: np.ndarray) -> np.ndarray:
+        """One noisy observation of the true ``objectives`` of a genome.
+
+        Raises:
+            ValueError: If ``objectives`` is not one value per objective.
+            RuntimeError: If the budget is spent, or the noise model gave
+                non-finite rows 100 times in a row.
+        """
+        k = self.problem.n_objectives
+        if np.shape(objectives) != (k,):
+            raise ValueError(
+                f"evaluate expects {k} objective values, got shape {np.shape(objectives)}"
+            )
         if not self.can_afford(1):
             raise RuntimeError("evaluation budget exhausted")
-        value = self.problem.true_eval(x)
         self.evaluations += 1
-        return value + self.noise.draw(value.size, rng)
+        for _ in range(_REDRAW_CAP):
+            if self._next == len(self._rows):
+                block = self.noise._draw_once((NOISE_BLOCK_ROWS, k), self._rng)
+                finite = np.isfinite(block).all(axis=1).tolist()
+                self._rows = [row if ok else None for row, ok in zip(block, finite)]
+                self._next = 0
+            row = self._rows[self._next]
+            self._next += 1
+            if row is not None:
+                return objectives + row
+        raise RuntimeError(
+            f"noise model {self.noise.kind} produced non-finite draws {_REDRAW_CAP} times"
+        )

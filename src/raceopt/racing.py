@@ -12,6 +12,7 @@ are provided as baselines behind the same interface.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .moea import (
     polynomial_mutation,
     sbx_crossover,
 )
-from .problems import NoisyProblem
+from .problems import NoisyProblem, Problem
 
 
 def hoeffding_radius(t: int, delta: float, range_width: float = 1.0) -> float:
@@ -117,7 +118,8 @@ class SelectionRace:
         self.delta = delta
         self.iteration = 0
         self.status = np.full(size, _RACING, dtype=int)
-        self.t = np.zeros(size, dtype=int)
+        # Times selected. A racer is observed once per iteration and no
+        # retired individual races again, so its p-hat is s / iteration.
         self.s = np.zeros(size, dtype=int)
         self.lower = np.zeros(size)
         self.upper = np.ones(size)
@@ -143,10 +145,6 @@ class SelectionRace:
     def mu_remaining(self) -> int:
         return self.mu - self.n_selected
 
-    def p_hat(self) -> np.ndarray:
-        """Empirical selection frequencies; zero where nothing was recorded."""
-        return np.divide(self.s, self.t, out=np.zeros(self.size), where=self.t > 0)
-
     def record(self, chosen) -> None:
         """Ingest one selection-indicator vector over the full pool."""
         chosen = np.asarray(chosen, dtype=bool)
@@ -154,10 +152,9 @@ class SelectionRace:
             raise ValueError(f"indicator vector must have shape ({self.size},)")
         racing = self.racing_indices()
         self.iteration += 1
-        self.t[racing] += 1
         self.s[racing] += chosen[racing]
         radius = hoeffding_radius(self.iteration, self.delta)
-        p = self.s[racing] / self.t[racing]
+        p = self.s[racing] / self.iteration
         self.lower[racing] = np.maximum(0.0, p - radius)
         self.upper[racing] = np.minimum(1.0, p + radius)
         self._decide()
@@ -211,7 +208,7 @@ class SelectionRace:
         racing = self.racing_indices()
         if racing.size < 2:
             return 0.0
-        p = np.sort(self.s[racing] / self.t[racing])
+        p = np.sort(self.s[racing] / self.iteration)
         r = p.size
         weights = 2.0 * np.arange(r) - (r - 1)
         return float(np.dot(p, weights))
@@ -273,7 +270,6 @@ def race_select(
     mu: int,
     config: RaceConfig,
     noisy: NoisyProblem,
-    eval_rng: np.random.Generator,
     boot_rng: np.random.Generator,
 ) -> RaceResult:
     """Choose mu of the population by racing the selection indicators.
@@ -313,7 +309,7 @@ def race_select(
             break
         for i, (ind, sample) in enumerate(zip(population, fresh.tolist())):
             if sample:
-                ind.archive.append(noisy.evaluate(ind.genome, eval_rng))
+                ind.archive.append(noisy.evaluate(ind.objectives))
                 reps[i] = ind.archive.estimate(config.estimator)
             else:
                 reps[i] = _representative(ind, config.estimator, boot_rng)
@@ -357,11 +353,11 @@ def static_select(
     n_samples: int,
     estimator: EstimatorKind,
     noisy: NoisyProblem,
-    eval_rng: np.random.Generator,
 ) -> RaceResult:
     """Static resampling: n fresh samples per individual whose archive
     holds fewer than n, added to its archive, then one environmental
-    selection on the estimator values."""
+    selection on the estimator values. An archive left unchanged reuses
+    its estimate from an earlier selection."""
     lam = len(population)
     if not 1 <= mu < lam:
         raise ValueError(f"mu must be in [1, {lam - 1}], got {mu}")
@@ -371,13 +367,12 @@ def static_select(
     modified = _modified(population, n_samples)
     if not noisy.can_afford(n_samples * int(np.count_nonzero(modified))):
         raise RuntimeError("budget cannot cover static resampling")
-    reps = np.zeros((lam, noisy.problem.n_objectives))
-    for i, (ind, sample) in enumerate(zip(population, modified.tolist())):
-        if sample:
-            for _ in range(n_samples):
-                ind.archive.append(noisy.evaluate(ind.genome, eval_rng))
-        reps[i] = ind.archive.estimate(estimator)
-    outcome = environmental_select(reps, mu)
+    for ind in itertools.compress(population, modified):
+        for _ in range(n_samples):
+            ind.archive.append(noisy.evaluate(ind.objectives))
+    outcome = environmental_select(
+        np.array([ind.archive.estimate(estimator) for ind in population]), mu
+    )
     return RaceResult(
         selected=outcome.selected,
         evaluations_used=noisy.evaluations - evals_before,
@@ -423,12 +418,10 @@ class Selector:
     worst_evals_per_offspring: int
     race: RaceConfig | None = None
 
-    def select(self, population, mu, noisy, eval_rng, boot_rng) -> RaceResult:
+    def select(self, population, mu, noisy, boot_rng) -> RaceResult:
         if self.race is not None:
-            return race_select(population, mu, self.race, noisy, eval_rng, boot_rng)
-        return static_select(
-            population, mu, self.worst_evals_per_offspring, self.estimator, noisy, eval_rng
-        )
+            return race_select(population, mu, self.race, noisy, boot_rng)
+        return static_select(population, mu, self.worst_evals_per_offspring, self.estimator, noisy)
 
     def worst_generation_evaluations(self, parents: list[Individual]) -> int:
         """Exact worst case of one generation from these parents: mu
@@ -473,7 +466,7 @@ _CROSSOVER_PROB = 1.0
 
 
 def _offspring(
-    parents: list[Individual], mating: SelectionOutcome, lower, upper, rng: np.random.Generator
+    parents: list[Individual], mating: SelectionOutcome, problem: Problem, rng: np.random.Generator
 ) -> list[Individual]:
     """mu offspring from ceil(mu / 2) mating pairs, in two passes.
 
@@ -484,8 +477,9 @@ def _offspring(
     mu the last pair's second child is drawn and mutated, then dropped.
 
     A child equal to a parent of its pair (parent a first) is a clone: it
-    inherits a copy of that parent's archive, so a clone of a short-archive
-    parent is sampled as new too.
+    inherits that parent's objectives and a copy of its archive, so a clone
+    of a short-archive parent is sampled as new too. The objectives of the
+    other children come from one ``true_eval`` over their genomes.
     """
     mu = len(parents)
     pairs = (mu + 1) // 2
@@ -498,6 +492,7 @@ def _offspring(
         crossed.append(rng.random() < _CROSSOVER_PROB)
         rng.random(out=row if crossed[-1] else row[2:])
     mates = np.array(mates)
+    lower, upper = problem.lower, problem.upper
     genomes = np.array([parent.genome for parent in parents])[mates]
     children = sbx_crossover(genomes, lower, upper, np.array(crossed), uniforms[:, :2])
     children = polynomial_mutation(
@@ -507,9 +502,13 @@ def _offspring(
     same = (children[:, :, None] == genomes[:, None]).all(axis=-1)
     # Index of the parent each child clones, or -1.
     source = np.where(same[..., 0], mates[:, :1], np.where(same[..., 1], mates[:, 1:], -1))
+    children = children.reshape(2 * pairs, n)[:mu]
+    source = source.ravel()[:mu]
+    new = iter(problem.true_eval(children[source < 0]))
     return [
-        Individual(genome) if i < 0 else Individual(genome, parents[i].archive.copy())
-        for genome, i in zip(children.reshape(2 * pairs, n)[:mu], source.ravel().tolist())
+        Individual(genome, next(new)) if i < 0
+        else Individual(genome, parents[i].objectives, parents[i].archive.copy())
+        for genome, i in zip(children, source.tolist())
     ]
 
 
@@ -519,7 +518,6 @@ def nsga2_generation(
     selector: Selector,
     noisy: NoisyProblem,
     variation_rng: np.random.Generator,
-    eval_rng: np.random.Generator,
     boot_rng: np.random.Generator,
 ) -> tuple[list[Individual], SelectionOutcome, RaceResult]:
     """One (mu + mu) NSGA-II generation under the given selection strategy.
@@ -537,10 +535,9 @@ def nsga2_generation(
     mu_pop = len(parents)
     if mu_pop < 2:
         raise ValueError("need at least 2 parents")
-    problem = noisy.problem
-    offspring = _offspring(parents, mating, problem.lower, problem.upper, variation_rng)
+    offspring = _offspring(parents, mating, noisy.problem, variation_rng)
     pool = list(parents) + offspring
-    result = selector.select(pool, mu_pop, noisy, eval_rng, boot_rng)
+    result = selector.select(pool, mu_pop, noisy, boot_rng)
     survivors = [pool[i] for i in result.selected]
     next_mating = SelectionOutcome(
         selected=np.arange(mu_pop),

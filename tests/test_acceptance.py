@@ -507,23 +507,15 @@ def test_criterion_11_budgets_never_exceeded(capsys):
         # exact reconciliation: the problem counter, the selector's report,
         # and the archive growth must all agree sample for sample
         rng = np.random.default_rng(1011)
-        pop = [
-            Individual(np.asarray(p, dtype=float))
-            for p in rng.uniform(-5.0, 5.0, size=(6, 2))
-        ]
-        noisy = NoisyProblem(_plane(), make_noise("gaussian"))
-        res = race_select(
-            pop, 3, RaceConfig(delta=0.25, t_max=12), noisy, make_rng(1), make_rng(2)
-        )
+        pop = [Individual(p, p) for p in rng.uniform(-5.0, 5.0, size=(6, 2))]
+        noisy = NoisyProblem(_plane(), make_noise("gaussian"), make_rng(1))
+        res = race_select(pop, 3, RaceConfig(delta=0.25, t_max=12), noisy, make_rng(2))
         grown = sum(len(ind.archive) for ind in pop)
         assert res.evaluations_used == noisy.evaluations == grown
 
-        pop = [
-            Individual(np.asarray(p, dtype=float))
-            for p in rng.uniform(-5.0, 5.0, size=(5, 2))
-        ]
-        noisy = NoisyProblem(_plane(), make_noise("gaussian"))
-        res = static_select(pop, 2, 7, EstimatorKind.MEAN, noisy, make_rng(3))
+        pop = [Individual(p, p) for p in rng.uniform(-5.0, 5.0, size=(5, 2))]
+        noisy = NoisyProblem(_plane(), make_noise("gaussian"), make_rng(3))
+        res = static_select(pop, 2, 7, EstimatorKind.MEAN, noisy)
         assert res.evaluations_used == noisy.evaluations == 5 * 7
     except BaseException:
         _report(capsys, 11, False)

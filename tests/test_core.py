@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from raceopt import core
 from raceopt.core import (
     EstimatorKind,
     SampleArchive,
@@ -102,6 +103,34 @@ def test_archive_copy_is_independent():
     arch.append(np.array([3.0, 3.0]))
     np.testing.assert_array_equal(arch.as_array(), [[1.0, 1.0], [3.0, 3.0]])
     np.testing.assert_array_equal(dup.as_array(), [[1.0, 1.0], [2.0, 2.0]])
+
+
+def test_archive_estimate_is_computed_once_per_change(monkeypatch):
+    calls = []
+
+    def counted(samples, kind):
+        calls.append(kind)
+        return estimator_value(samples, kind)
+
+    monkeypatch.setattr(core, "estimator_value", counted)
+    arch = SampleArchive([(1.0, 4.0), (3.0, 2.0)])
+    first = arch.estimate(EstimatorKind.MEAN)
+    assert arch.estimate(EstimatorKind.MEAN) is first
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 0.0
+    # a copy carries the estimate; each archive drops it on its own append
+    dup = arch.copy()
+    assert dup.estimate(EstimatorKind.MEAN) is first
+    assert len(calls) == 1
+    dup.append(np.array([5.0, 0.0]))
+    np.testing.assert_array_equal(dup.estimate(EstimatorKind.MEAN), [3.0, 2.0])
+    assert arch.estimate(EstimatorKind.MEAN) is first
+    arch.append(np.array([2.0, 0.0]))
+    np.testing.assert_array_equal(arch.estimate(EstimatorKind.MEAN), [2.0, 2.0])
+    # another estimator is computed, not read from the cache
+    np.testing.assert_array_equal(arch.estimate(EstimatorKind.LAST), [2.0, 0.0])
+    assert len(calls) == 4
 
 
 def test_archive_grows_past_its_first_buffer():

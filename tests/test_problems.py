@@ -10,6 +10,7 @@ from raceopt.moea import dominates
 from raceopt.problems import (
     GUMBEL_LOCATION,
     GUMBEL_SCALE,
+    NOISE_BLOCK_ROWS,
     NOISE_NAMES,
     PROBLEM_NAMES,
     ZDT3_FRONT_INTERVALS,
@@ -106,6 +107,34 @@ def test_true_eval_is_deterministic():
             np.testing.assert_array_equal(p.true_eval(x), p.true_eval(x))
 
 
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_rows_equal_single_genomes_bit_for_bit(name):
+    # A stack of genomes is evaluated in one call; each row must carry the
+    # exact bits of that genome evaluated alone, the arithmetic seeded run
+    # files pin, boundary genomes included.
+    p = make_problem(name)
+    x = _random_feasible(p, np.random.default_rng(12), 200_000)
+    x[::997] = p.lower
+    x[1::997] = p.upper
+    x[2::997, 0] = p.lower[0]
+    x[3::997, 0] = p.upper[0]
+    rows = p.true_eval(x)
+    assert rows.shape == (200_000, 2)
+    single = np.array([p.true_eval(genome) for genome in x])
+    np.testing.assert_array_equal(rows.view(np.int64), single.view(np.int64))
+
+
+def test_stacks_are_checked_per_genome():
+    p = make_problem("zdt1")
+    x = np.full((3, 30), 0.5)
+    assert p.true_eval(x[:0]).shape == (0, 2)
+    x[1, 4] = 1.5
+    with pytest.raises(ValueError, match="domain-violation: point outside"):
+        p.true_eval(x)
+    with pytest.raises(ValueError, match="domain-violation.*shape"):
+        p.true_eval(np.full((2, 3, 30), 0.5))
+
+
 def test_unknown_problem_name():
     with pytest.raises(ValueError):
         make_problem("zdt5")
@@ -179,7 +208,7 @@ def test_dirac_noise_is_exactly_additive_zero():
         p = make_problem(name)
         noisy = NoisyProblem(p, noise)
         for x in _random_feasible(p, rng, 1000):
-            np.testing.assert_array_equal(noisy.evaluate(x, rng), p.true_eval(x))
+            np.testing.assert_array_equal(noisy.evaluate(p.true_eval(x)), p.true_eval(x))
 
 
 def test_gaussian_noise_moments():
@@ -237,6 +266,82 @@ def test_redraw_cap_raises(monkeypatch):
         make_noise("cauchy").draw(2, make_rng(4))
 
 
+class _ScriptedStream:
+    """Stand-in generator that hands out a fixed value sequence in order,
+    whatever the shape asked for, so the block reader and per-evaluation
+    draws read the same values from it."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.used = 0
+
+    def _take(self, size):
+        count = int(np.prod(size))
+        out = self.values[self.used:self.used + count]
+        assert out.size == count, "script exhausted"
+        self.used += count
+        return out.reshape(size)
+
+    def normal(self, loc, scale, size):
+        return loc + scale * self._take(size)
+
+    def standard_cauchy(self, size):
+        return self._take(size)
+
+    def gumbel(self, loc, scale, size):
+        return loc + scale * self._take(size)
+
+
+def _stream_against_draws(noise, make_stream, evaluations):
+    """Noise added by ``evaluations`` calls of ``evaluate``, and the noise
+    of as many sequential ``NoiseModel.draw`` calls on an equal stream."""
+    noisy = NoisyProblem(make_problem("zdt1"), noise, make_stream())
+    got = np.array([noisy.evaluate(np.zeros(2)) for _ in range(evaluations)])
+    reference = make_stream()
+    want = np.array([noise.draw(2, reference) for _ in range(evaluations)])
+    return got, want
+
+
+@pytest.mark.parametrize("name", NOISE_NAMES)
+def test_block_stream_equals_sequential_draws(name):
+    noise = make_noise(name)
+    got, want = _stream_against_draws(noise, lambda: make_rng(7), 3 * NOISE_BLOCK_ROWS + 5)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["gaussian", "cauchy", "gumbel"])
+def test_block_stream_skips_non_finite_rows_as_draw_redraws(name):
+    blocks = 4
+    values = np.random.default_rng(8).normal(size=(blocks * NOISE_BLOCK_ROWS, 2))
+    values[3, 1] = np.nan
+    values[NOISE_BLOCK_ROWS - 1 : NOISE_BLOCK_ROWS + 1, 0] = np.inf  # across a block edge
+    start = 2 * NOISE_BLOCK_ROWS + 10
+    values[start : start + 99, 1] = -np.inf  # one short of the cap
+    finite_rows = int(np.isfinite(values).all(axis=1).sum())
+    got, want = _stream_against_draws(
+        make_noise(name), lambda: _ScriptedStream(values.ravel()), finite_rows
+    )
+    assert np.isfinite(got).all()
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["gaussian", "cauchy", "gumbel"])
+def test_block_stream_and_draw_share_the_redraw_cap(name):
+    noise = make_noise(name)
+    values = np.ones((2 * NOISE_BLOCK_ROWS, 2))
+    values[5:105, 0] = np.nan  # 100 non-finite rows in a row
+    script = values.ravel()
+    noisy = NoisyProblem(make_problem("zdt1"), noise, _ScriptedStream(script))
+    reference = _ScriptedStream(script)
+    for _ in range(5):
+        noisy.evaluate(np.zeros(2))
+        noise.draw(2, reference)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        noisy.evaluate(np.zeros(2))
+    with pytest.raises(RuntimeError, match="non-finite"):
+        noise.draw(2, reference)
+
+
 # ---------------------------------------------------------------------------
 # budget accounting
 
@@ -244,23 +349,37 @@ def test_redraw_cap_raises(monkeypatch):
 def test_evaluation_counter_and_budget():
     p = make_problem("zdt1")
     noisy = NoisyProblem(p, make_noise("none"), max_evaluations=3)
-    rng = make_rng(0)
-    x = np.full(30, 0.5)
+    f = p.true_eval(np.full(30, 0.5))
     assert noisy.remaining == 3
     assert noisy.can_afford(3)
     assert not noisy.can_afford(4)
     for i in range(3):
-        noisy.evaluate(x, rng)
+        noisy.evaluate(f)
         assert noisy.evaluations == i + 1
     assert noisy.remaining == 0
     with pytest.raises(RuntimeError, match="budget exhausted"):
-        noisy.evaluate(x, rng)
+        noisy.evaluate(f)
 
 
 def test_unlimited_budget():
     noisy = NoisyProblem(make_problem("zdt1"), make_noise("none"))
     assert noisy.remaining is None
     assert noisy.can_afford(10**9)
+
+
+def test_noise_without_a_generator_is_rejected():
+    for name in ("gaussian", "cauchy", "gumbel"):
+        with pytest.raises(ValueError, match=name):
+            NoisyProblem(make_problem("zdt1"), make_noise(name))
+
+
+def test_evaluate_rejects_a_vector_that_is_not_one_value_per_objective():
+    p = make_problem("zdt1")
+    noisy = NoisyProblem(p, make_noise("gaussian"), make_rng(9))
+    for bad in (np.full(30, 0.5), np.zeros(1), np.zeros((1, 2)), 0.5):
+        with pytest.raises(ValueError, match="2 objective values"):
+            noisy.evaluate(bad)
+    assert noisy.evaluations == 0
 
 
 def test_negative_budget_rejected():

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from raceopt import racing
-from raceopt.core import EstimatorKind, Individual, SampleArchive, make_rng
+from raceopt import core, racing
+from raceopt.core import EstimatorKind, Individual, SampleArchive, estimator_value, make_rng
 from raceopt.moea import (
     SelectionOutcome,
     binary_tournament,
@@ -45,7 +45,8 @@ def _plane():
 
 
 def _pop(points):
-    return [Individual(np.asarray(p, dtype=float)) for p in points]
+    # On the plane the objectives are the genome itself.
+    return [Individual(p, p) for p in np.asarray(points, dtype=float)]
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,7 @@ def test_race_proximity_sum_is_the_pairwise_gap_total():
     race.record([True, False, False])
     race.record([True, True, False])
     # p_hat = (1, 0.5, 0): pairwise gaps 0.5 + 1.0 + 0.5
-    np.testing.assert_allclose(race.p_hat(), [1.0, 0.5, 0.0])
+    np.testing.assert_allclose(race.s / race.iteration, [1.0, 0.5, 0.0])
     assert race.proximity_sum() == pytest.approx(2.0)
 
 
@@ -276,7 +277,7 @@ def test_race_two_separated_pairs_stops_early():
     pop = _pop([(0.0, 0.0), (0.1, 0.1), (1.0, 1.0), (1.1, 1.1)])
     noisy = NoisyProblem(_plane(), make_noise("none"))
     cfg = RaceConfig(delta=0.75, t_max=50)
-    res = race_select(pop, 2, cfg, noisy, make_rng(1), make_rng(2))
+    res = race_select(pop, 2, cfg, noisy, make_rng(2))
     assert res.selected.tolist() == [0, 1]
     assert res.stop_reason == StopReason.QUOTA_SELECTED
     assert res.iterations < 50
@@ -292,7 +293,7 @@ def test_race_discard_quota_fills_the_selection():
     pop = _pop([(1.0, 1.0), (1.1, 1.1), (0.0, 0.0), (0.1, 0.1)])
     noisy = NoisyProblem(_plane(), make_noise("none"))
     cfg = RaceConfig(delta=0.75, t_max=50)
-    res = race_select(pop, 2, cfg, noisy, make_rng(3), make_rng(4))
+    res = race_select(pop, 2, cfg, noisy, make_rng(4))
     assert res.stop_reason == StopReason.QUOTA_DISCARDED
     assert res.selected.tolist() == [2, 3]
 
@@ -301,7 +302,7 @@ def test_race_huge_proximity_threshold_stops_at_t_one():
     pop = _pop([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)])
     noisy = NoisyProblem(_plane(), make_noise("none"))
     cfg = RaceConfig(delta=0.25, t_max=50, proximity_threshold=1e9)
-    res = race_select(pop, 1, cfg, noisy, make_rng(5), make_rng(6))
+    res = race_select(pop, 1, cfg, noisy, make_rng(6))
     assert res.stop_reason == StopReason.PROXIMITY
     assert res.iterations == 1
     assert res.selected.tolist() == [0]
@@ -313,9 +314,9 @@ def test_race_with_t_max_one_matches_implicit_selection():
     pop_a = _pop(points)
     pop_b = _pop(points)
     cfg = RaceConfig(delta=0.5, t_max=1, proximity_threshold=0.0)
-    res_a = race_select(pop_a, 2, cfg, NoisyProblem(_plane(), noise), make_rng(7), make_rng(8))
+    res_a = race_select(pop_a, 2, cfg, NoisyProblem(_plane(), noise, make_rng(7)), make_rng(8))
     res_b = make_selector("implicit").select(
-        pop_b, 2, NoisyProblem(_plane(), noise), make_rng(7), make_rng(8)
+        pop_b, 2, NoisyProblem(_plane(), noise, make_rng(7)), make_rng(8)
     )
     assert res_a.selected.tolist() == res_b.selected.tolist()
     assert res_a.stop_reason == StopReason.T_MAX
@@ -325,10 +326,10 @@ def test_race_with_t_max_one_matches_implicit_selection():
 def test_race_unchanged_individuals_cost_no_evaluations():
     # An archive that already holds t_max samples is not sampled again.
     pop = _pop([(0.0, 0.0), (0.1, 0.1), (1.0, 1.0), (1.1, 1.1)])
-    pop[2] = Individual(np.array([1.0, 1.0]), SampleArchive([(1.0, 1.0)] * 50))
+    pop[2] = Individual(np.ones(2), np.ones(2), SampleArchive([(1.0, 1.0)] * 50))
     noisy = NoisyProblem(_plane(), make_noise("none"))
     cfg = RaceConfig(delta=0.75, t_max=50)
-    res = race_select(pop, 2, cfg, noisy, make_rng(9), make_rng(10))
+    res = race_select(pop, 2, cfg, noisy, make_rng(10))
     assert len(pop[2].archive) == 50  # untouched by the race
     assert res.evaluations_used == 3 * res.iterations
     assert res.selected.tolist() == [0, 1]
@@ -343,8 +344,7 @@ def test_race_samples_exactly_the_archives_short_of_t_max():
         for _ in range(rows):
             ind.archive.append(ind.genome)
     noisy = NoisyProblem(_plane(), make_noise("none"))
-    res = race_select(pop, 2, RaceConfig(delta=0.75, t_max=t_max), noisy,
-                      make_rng(9), make_rng(10))
+    res = race_select(pop, 2, RaceConfig(delta=0.75, t_max=t_max), noisy, make_rng(10))
     gained = [len(ind.archive) - rows for ind, rows in zip(pop, held)]
     assert gained[1] == gained[3] == 0
     assert gained[0] >= 1 and gained[2] >= 1
@@ -355,7 +355,7 @@ def test_race_truncates_to_t_max_when_budget_runs_out():
     pop = _pop([(0.0, 0.0), (0.1, 0.1), (1.0, 1.0), (1.1, 1.1)])
     noisy = NoisyProblem(_plane(), make_noise("none"), max_evaluations=6)
     cfg = RaceConfig(delta=0.01, t_max=10)  # too tight to decide by t = 1
-    res = race_select(pop, 2, cfg, noisy, make_rng(11), make_rng(12))
+    res = race_select(pop, 2, cfg, noisy, make_rng(12))
     assert res.stop_reason == StopReason.T_MAX
     assert res.iterations == 1
     assert res.evaluations_used == 4
@@ -368,7 +368,7 @@ def test_race_unaffordable_first_iteration_raises():
     noisy = NoisyProblem(_plane(), make_noise("none"), max_evaluations=1)
     cfg = RaceConfig(delta=0.25, t_max=5)
     with pytest.raises(RuntimeError, match="first racing iteration"):
-        race_select(pop, 1, cfg, noisy, make_rng(13), make_rng(14))
+        race_select(pop, 1, cfg, noisy, make_rng(14))
 
 
 def test_race_result_invariants_under_fuzz():
@@ -383,8 +383,8 @@ def test_race_result_invariants_under_fuzz():
             t_max=int(rng.integers(1, 8)),
             proximity_threshold=float(rng.choice([0.0, 0.5])),
         )
-        noisy = NoisyProblem(_plane(), make_noise("gaussian"))
-        res = race_select(pop, mu, cfg, noisy, make_rng(44, trial), make_rng(45, trial))
+        noisy = NoisyProblem(_plane(), make_noise("gaussian"), make_rng(44, trial))
+        res = race_select(pop, mu, cfg, noisy, make_rng(45, trial))
         assert res.selected.size == mu
         assert 1 <= res.iterations <= cfg.t_max
         assert res.stop_reason is not None
@@ -398,8 +398,8 @@ def test_race_result_invariants_under_fuzz():
 
 def test_static_sample_count_and_archives():
     pop = _pop([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
-    noisy = NoisyProblem(_plane(), make_noise("gaussian"))
-    res = static_select(pop, 1, 5, EstimatorKind.MEAN, noisy, make_rng(15))
+    noisy = NoisyProblem(_plane(), make_noise("gaussian"), make_rng(15))
+    res = static_select(pop, 1, 5, EstimatorKind.MEAN, noisy)
     assert res.evaluations_used == 15
     assert res.iterations == 1
     assert res.stop_reason is None
@@ -410,9 +410,9 @@ def test_static_sample_count_and_archives():
 def test_static_skips_unchanged_individuals():
     # An archive that already holds the sample count is not sampled again.
     pop = _pop([(0.0, 0.0), (1.0, 1.0)])
-    pop[1] = Individual(np.array([1.0, 1.0]), SampleArchive([(9.0, 9.0)] * 3))
+    pop[1] = Individual(np.ones(2), np.ones(2), SampleArchive([(9.0, 9.0)] * 3))
     noisy = NoisyProblem(_plane(), make_noise("none"))
-    res = static_select(pop, 1, 3, EstimatorKind.MEAN, noisy, make_rng(16))
+    res = static_select(pop, 1, 3, EstimatorKind.MEAN, noisy)
     assert res.evaluations_used == 3
     assert len(pop[1].archive) == 3
     # the unchanged individual is judged by its archive estimate
@@ -427,9 +427,28 @@ def test_static_samples_exactly_the_archives_short_of_the_sample_count():
         for _ in range(rows):
             ind.archive.append(ind.genome)
     noisy = NoisyProblem(_plane(), make_noise("none"))
-    res = static_select(pop, 1, n, EstimatorKind.MEAN, noisy, make_rng(16))
+    res = static_select(pop, 1, n, EstimatorKind.MEAN, noisy)
     assert [len(ind.archive) for ind in pop] == [2 * n - 1, n, n]
     assert res.evaluations_used == noisy.evaluations == 2 * n
+
+
+def test_static_reuses_the_estimates_of_unchanged_archives(monkeypatch):
+    calls = []
+
+    def counted(samples, kind):
+        calls.append(len(samples))
+        return estimator_value(samples, kind)
+
+    monkeypatch.setattr(core, "estimator_value", counted)
+    pop = _pop([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+    noisy = NoisyProblem(_plane(), make_noise("gaussian"), make_rng(20))
+    first = static_select(pop, 1, 3, EstimatorKind.MEDIAN, noisy)
+    assert calls == [3, 3, 3]
+    # every archive now holds the sample count: no sample, no estimate
+    second = static_select(pop, 1, 3, EstimatorKind.MEDIAN, noisy)
+    assert calls == [3, 3, 3]
+    assert second.evaluations_used == 0
+    assert second.selected.tolist() == first.selected.tolist()
 
 
 def test_worst_generation_counts_parents_short_by_one_sample():
@@ -446,7 +465,7 @@ def test_static_budget_guard():
     pop = _pop([(0.0, 0.0), (1.0, 1.0)])
     noisy = NoisyProblem(_plane(), make_noise("none"), max_evaluations=5)
     with pytest.raises(RuntimeError, match="static resampling"):
-        static_select(pop, 1, 3, EstimatorKind.MEAN, noisy, make_rng(17))
+        static_select(pop, 1, 3, EstimatorKind.MEAN, noisy)
 
 
 def test_implicit_is_static_with_one_last_sample():
@@ -455,10 +474,10 @@ def test_implicit_is_static_with_one_last_sample():
     pop_a = _pop(points)
     pop_b = _pop(points)
     res_a = make_selector("implicit").select(
-        pop_a, 2, NoisyProblem(_plane(), noise), make_rng(18), make_rng(0)
+        pop_a, 2, NoisyProblem(_plane(), noise, make_rng(18)), make_rng(0)
     )
     res_b = static_select(
-        pop_b, 2, 1, EstimatorKind.LAST, NoisyProblem(_plane(), noise), make_rng(18)
+        pop_b, 2, 1, EstimatorKind.LAST, NoisyProblem(_plane(), noise, make_rng(18))
     )
     assert res_a.selected.tolist() == res_b.selected.tolist()
     for a, b in zip(pop_a, pop_b):
@@ -474,8 +493,8 @@ def test_median_resists_cauchy_outliers_better_than_mean():
     for kind in correct:
         for trial in range(200):
             pop = _pop([(0.0, 0.0), (0.2, 0.2)])
-            noisy = NoisyProblem(_plane(), noise)
-            res = static_select(pop, 1, 30, kind, noisy, make_rng(19, trial))
+            noisy = NoisyProblem(_plane(), noise, make_rng(19, trial))
+            res = static_select(pop, 1, 30, kind, noisy)
             correct[kind] += res.selected.tolist() == [0]
     assert correct[EstimatorKind.MEDIAN] >= 190
     assert correct[EstimatorKind.MEAN] < correct[EstimatorKind.MEDIAN]
@@ -524,13 +543,10 @@ def test_selector_parameter_validation():
 
 
 def _fresh_parents(problem, noisy, rng, mu):
-    span = problem.upper - problem.lower
-    parents = []
-    for _ in range(mu):
-        genome = problem.lower + rng.random(problem.n_variables) * span
-        ind = Individual(genome)
-        ind.archive.append(noisy.evaluate(genome, rng))
-        parents.append(ind)
+    genomes = _random_genomes(problem, rng, mu)
+    parents = [Individual(g, f) for g, f in zip(genomes, problem.true_eval(genomes))]
+    for ind in parents:
+        ind.archive.append(noisy.evaluate(ind.objectives))
     return parents
 
 
@@ -543,7 +559,7 @@ def test_generation_produces_mu_survivors_with_fresh_metadata():
     mating = environmental_select(reps, 8)
     selector = make_selector("implicit")
     survivors, next_mating, result = nsga2_generation(
-        parents, mating, selector, noisy, make_rng(61), make_rng(62), make_rng(63)
+        parents, mating, selector, noisy, make_rng(61), make_rng(63)
     )
     assert len(survivors) == 8
     assert next_mating.rank.shape == (8,)
@@ -561,7 +577,7 @@ def test_generation_matches_deterministic_selection_oracle():
     noise = make_noise("none")
     noisy_a = NoisyProblem(problem, noise)
     parents_a = _fresh_parents(problem, noisy_a, make_rng(65), 6)
-    parents_b = [Individual(p.genome.copy(), p.archive.copy()) for p in parents_a]
+    parents_b = [Individual(p.genome.copy(), p.objectives, p.archive.copy()) for p in parents_a]
     reps = np.vstack([p.archive.estimate(EstimatorKind.LAST) for p in parents_a])
     mating = environmental_select(reps, 6)
 
@@ -571,7 +587,6 @@ def test_generation_matches_deterministic_selection_oracle():
         make_selector("implicit"),
         noisy_a,
         make_rng(66),
-        make_rng(67),
         make_rng(68),
     )
 
@@ -604,14 +619,13 @@ def test_generation_matches_deterministic_selection_oracle():
 
 def test_generation_evaluation_cost_is_bounded_by_the_race_cap():
     problem = make_problem("zdt1")
-    noisy = NoisyProblem(problem, make_noise("gaussian"))
-    rng = make_rng(70)
+    noisy = NoisyProblem(problem, make_noise("gaussian"), make_rng(72))
     t_max = 6
-    parents = _fresh_parents(problem, noisy, rng, 10)
+    parents = _fresh_parents(problem, noisy, make_rng(70), 10)
     # half the parents already hold t_max samples, half hold one
     for parent in parents[:5]:
         for _ in range(t_max - 1):
-            parent.archive.append(noisy.evaluate(parent.genome, rng))
+            parent.archive.append(noisy.evaluate(parent.objectives))
     reps = np.vstack([p.archive.estimate(EstimatorKind.MEDIAN) for p in parents])
     mating = environmental_select(reps, 10)
     before = noisy.evaluations
@@ -619,7 +633,7 @@ def test_generation_evaluation_cost_is_bounded_by_the_race_cap():
     reserved = selector.worst_generation_evaluations(parents)
     assert reserved == (10 + 5) * t_max
     _, _, result = nsga2_generation(
-        parents, mating, selector, noisy, make_rng(71), make_rng(72), make_rng(73)
+        parents, mating, selector, noisy, make_rng(71), make_rng(73)
     )
     spent = noisy.evaluations - before
     assert spent == result.evaluations_used
@@ -635,14 +649,14 @@ def test_static_generation_samples_one_sample_parents_up_to_the_budget():
     # Initial individuals hold one noisy sample; static-med must not judge
     # them by it for the rest of the run.
     problem = make_problem("zdt1")
-    noisy = NoisyProblem(problem, make_noise("cauchy"))
+    noisy = NoisyProblem(problem, make_noise("cauchy"), make_rng(76))
     parents = _fresh_parents(problem, noisy, make_rng(74), 10)
     reps = np.vstack([p.archive.estimate(EstimatorKind.MEDIAN) for p in parents])
     mating = environmental_select(reps, 10)
     selector = make_selector("static-med", sampling_budget=5)
     before = noisy.evaluations
     survivors, _, result = nsga2_generation(
-        parents, mating, selector, noisy, make_rng(75), make_rng(76), make_rng(77)
+        parents, mating, selector, noisy, make_rng(75), make_rng(77)
     )
     assert all(len(ind.archive) >= 5 for ind in survivors)
     assert all(len(p.archive) == 1 + 5 for p in parents)
@@ -652,16 +666,15 @@ def test_static_generation_samples_one_sample_parents_up_to_the_budget():
 def test_race_survivor_with_a_short_archive_is_sampled_again():
     problem = make_problem("zdt1")
     noisy = NoisyProblem(problem, make_noise("none"))
-    rng = make_rng(78)
     t_max = 8
-    parents = _fresh_parents(problem, noisy, rng, 10)
+    parents = _fresh_parents(problem, noisy, make_rng(78), 10)
     for parent in parents:
         for _ in range(t_max - 1):
-            parent.archive.append(noisy.evaluate(parent.genome, rng))
+            parent.archive.append(noisy.evaluate(parent.objectives))
     reps = np.vstack([p.archive.estimate(EstimatorKind.MEDIAN) for p in parents])
     mating = environmental_select(reps, 10)
     selector = make_selector("rsp-med", sampling_budget=t_max, confidence=0.25)
-    streams = [make_rng(79), make_rng(80), make_rng(81)]
+    streams = [make_rng(79), make_rng(81)]
     # Without noise the first race retires individuals early, so some
     # offspring survive with fewer than t_max samples.
     survivors, mating, first = nsga2_generation(
@@ -742,18 +755,19 @@ def _mutate_one(x, lower, upper, eta, mutation_prob, rng):
     return np.where(gate, mutated, x)
 
 
-def _offspring_loop(parents, mating, lower, upper, rng, crossover_prob=1.0):
+def _offspring_loop(parents, mating, problem, rng, crossover_prob=1.0):
     """The per-pair variation loop of a generation, with its clone rule.
 
     Also returns, per child, which parent of its pair it clones: "a", "b"
     or "new".
     """
+    lower, upper = problem.lower, problem.upper
 
     def child(genome, pair):
         for parent, kind in zip(pair, "ab"):
             if np.array_equal(genome, parent.genome):
-                return Individual(genome.copy(), parent.archive.copy()), kind
-        return Individual(genome, SampleArchive()), "new"
+                return Individual(genome.copy(), parent.objectives, parent.archive.copy()), kind
+        return Individual(genome, problem.true_eval(genome), SampleArchive()), "new"
 
     offspring, kinds = [], []
     while len(offspring) < len(parents):
@@ -840,7 +854,7 @@ class _PoolRecorder:
 
     pool = None
 
-    def select(self, pool, mu, noisy, eval_rng, boot_rng):
+    def select(self, pool, mu, noisy, boot_rng):
         self.pool = pool
         outcome = environmental_select(np.zeros((len(pool), 2)), mu)
         return RaceResult(np.arange(mu), 0, 1, None, outcome)
@@ -855,7 +869,8 @@ def _variation_parents(problem, rng, mu):
     genomes[1, 0] = problem.lower[0] + 0.25 * (problem.upper[0] - problem.lower[0])
     parents = []
     for i in range(mu):
-        ind = Individual(genomes[rng.integers(genomes.shape[0])].copy())
+        genome = genomes[rng.integers(genomes.shape[0])].copy()
+        ind = Individual(genome, problem.true_eval(genome))
         for _ in range(1 + i % 4):
             ind.archive.append(rng.normal(size=2))
         parents.append(ind)
@@ -874,14 +889,12 @@ def _generation_against_the_loop(problem, mu, seed, crossover_prob=1.0):
         crowding=setup.choice([0.5, 1.0, np.inf], size=mu),
     )
     selector = _PoolRecorder()
-    twins = [Individual(p.genome.copy(), p.archive.copy()) for p in parents]
+    twins = [Individual(p.genome.copy(), p.objectives, p.archive.copy()) for p in parents]
     variation = make_rng(95, seed)
     noisy = NoisyProblem(problem, make_noise("none"))
-    nsga2_generation(parents, mating, selector, noisy, variation, make_rng(0), make_rng(1))
+    nsga2_generation(parents, mating, selector, noisy, variation, make_rng(1))
     reference = make_rng(95, seed)
-    want, kinds = _offspring_loop(
-        twins, mating, problem.lower, problem.upper, reference, crossover_prob
-    )
+    want, kinds = _offspring_loop(twins, mating, problem, reference, crossover_prob)
     assert variation.bit_generator.state == reference.bit_generator.state
     return parents, selector.pool[mu:], want, kinds
 
@@ -897,6 +910,7 @@ def test_generation_variation_matches_the_per_pair_loop(name, mu):
         assert len(got) == len(want) == mu
         for g, w in zip(got, want):
             assert g.genome.tobytes() == w.genome.tobytes()
+            assert g.objectives.tobytes() == w.objectives.tobytes()
             assert len(g.archive) == len(w.archive)
             if len(w.archive):
                 assert g.archive.as_array().tobytes() == w.archive.as_array().tobytes()
