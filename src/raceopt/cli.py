@@ -6,8 +6,11 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    DEFAULT_POPULATION,
+    DEFAULT_PROXIMITY,
     ConfigError,
     ExperimentConfig,
+    algorithm_settings,
     canonical_algorithm,
     emit_boxplot_data,
     expand_grid,
@@ -32,8 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--algo", required=True)
     run.add_argument("--budget", type=int, help="sampling budget (static n / racing t_max)")
     run.add_argument("--confidence", type=float, help="racing confidence in (0, 1)")
-    run.add_argument("--proximity", type=float, default=0.5)
-    run.add_argument("--pop", type=int, default=100)
+    run.add_argument("--proximity", type=float, default=DEFAULT_PROXIMITY)
+    run.add_argument("--pop", type=int, default=DEFAULT_POPULATION)
     run.add_argument("--evals", type=int, help="evaluation cap (default 100000; 500000 for zdt6)")
     run.add_argument("--max-generations", type=int, dest="max_generations")
     run.add_argument("--seed", type=int, required=True)
@@ -57,20 +60,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     algo = canonical_algorithm(args.algo)
-    if algo != "implicit" and args.budget is None:
-        raise ConfigError(f"--budget is required for algorithm {algo!r}")
-    if algo.startswith("rsp") and args.confidence is None:
-        raise ConfigError(f"--confidence is required for algorithm {algo!r}")
-    if algo == "implicit" and args.budget is not None:
-        raise ConfigError(f"--budget does not apply to algorithm {algo!r}")
-    if (algo == "implicit" or algo.startswith("static")) and args.confidence is not None:
-        raise ConfigError(f"--confidence does not apply to algorithm {algo!r}")
+    takes = algorithm_settings(algo)
+    for setting in ("budget", "confidence"):
+        if (setting in takes) != (getattr(args, setting) is not None):
+            rule = "is required for" if setting in takes else "does not apply to"
+            raise ConfigError(f"--{setting} {rule} algorithm {algo!r}")
     cfg = ExperimentConfig(
         problem=args.problem,
         noise=args.noise,
         algorithm=algo,
-        sampling_budget=args.budget if args.budget is not None else 1,
-        confidence=args.confidence if args.confidence is not None else 0.0,
+        sampling_budget=args.budget,
+        confidence=args.confidence,
         proximity_threshold=args.proximity,
         population_size=args.pop,
         max_evaluations=args.evals,

@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,15 @@ from .metrics import (
 )
 from .moea import environmental_select
 from .problems import NOISE_NAMES, PROBLEM_NAMES, NoisyProblem, make_noise, make_problem
-from .racing import ALGORITHM_IDS, StopReason, algorithm_estimator, make_selector, nsga2_generation
+from .racing import (
+    ALGORITHM_IDS,
+    DEFAULT_PROXIMITY,
+    StopReason,
+    algorithm_estimator,
+    algorithm_settings,
+    make_selector,
+    nsga2_generation,
+)
 
 
 class ConfigError(ValueError):
@@ -54,7 +63,6 @@ def _finite(key: str, text: str) -> float:
 
 DEFAULT_POPULATION = 100
 DEFAULT_RUNS = 25
-DEFAULT_PROXIMITY = 0.5
 
 # Substream labels under the run seed.
 STREAM_INIT = 0
@@ -85,11 +93,12 @@ def canonical_algorithm(name) -> str:
 class ExperimentConfig:
     """One cell of the experiment grid plus its seeds.
 
-    Construction canonicalizes: implicit averaging pins sampling_budget
-    to 1, and non-racing algorithms pin confidence to 0. The estimator is
-    derived from the algorithm and is not a setting. Canonical form makes
-    equality and hashing, and so grid deduplication, well defined; a
-    config is never mutated after construction, so it hashes by value.
+    Construction canonicalizes: a setting the algorithm does not take is
+    pinned (sampling_budget to 1, confidence to 0), and ``make_selector``
+    checks the others. The estimator is derived from the algorithm and is
+    not a setting. Canonical form makes equality and hashing, and so grid
+    deduplication, well defined; a config is never mutated after
+    construction, so it hashes by value.
     """
 
     problem: str
@@ -115,16 +124,13 @@ class ExperimentConfig:
                 f"unknown noise: {self.noise!r} (valid: {', '.join(NOISE_NAMES)})"
             )
         self.algorithm = canonical_algorithm(self.algorithm)
-        self.sampling_budget = int(self.sampling_budget)
-        self.confidence = float(self.confidence)
-        if self.algorithm == "implicit":
-            self.sampling_budget = 1
-        elif self.sampling_budget < 1:
-            raise ConfigError("sampling_budget must be at least 1")
-        if not self.algorithm.startswith("rsp"):
-            self.confidence = 0.0
-        elif not 0.0 < self.confidence < 1.0:
-            raise ConfigError("racing algorithms need a confidence in (0, 1)")
+        settings = algorithm_settings(self.algorithm)
+        self.sampling_budget = int(self.sampling_budget) if "budget" in settings else 1
+        self.confidence = float(self.confidence) if "confidence" in settings else 0.0
+        try:
+            make_selector(self.algorithm, self.sampling_budget, self.confidence)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         self.proximity_threshold = float(self.proximity_threshold)
         if not (math.isfinite(self.proximity_threshold) and self.proximity_threshold >= 0.0):
             raise ConfigError("proximity_threshold must be finite and non-negative")
@@ -141,6 +147,8 @@ class ExperimentConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         if self.max_generations is not None:
             self.max_generations = int(self.max_generations)
             if self.max_generations < 0:
@@ -245,12 +253,13 @@ _STOP_TALLY_ORDER = (
 )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_csv(path, rows) -> None:
+    """Write row tuples in column order; csv writes a float as its repr
+    and None as an empty field."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
 
 
 def write_run_csv(record: RunRecord, path) -> None:
@@ -274,23 +283,15 @@ def write_run_csv(record: RunRecord, path) -> None:
     }
     frame = fallback_frame(cfg.problem)
     report = delta_hypervolume(record.final_points, make_problem(cfg.problem), frame)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        for key, value in meta.items():
-            writer.writerow(["meta", key, _fmt(value)])
-        for row in record.gen_rows:
-            tallies = [1 if row.stop_reason == reason else 0 for reason in _STOP_TALLY_ORDER]
-            writer.writerow(
-                ["gen", row.generation, row.cumulative_evaluations, *tallies, row.race_length]
-            )
-        for point in record.final_points:
-            writer.writerow(["pop", *(_fmt(float(v)) for v in point)])
-        writer.writerow(["score", "hv_front", _fmt(report.hv_front)])
-        writer.writerow(["score", "hv_solution", _fmt(report.hv_solution)])
-        writer.writerow(["score", "delta_hv", _fmt(report.delta_hv)])
-        writer.writerow(["score", "frame", "fallback"])
+    rows = [("meta", key, value) for key, value in meta.items()]
+    for row in record.gen_rows:
+        tallies = [1 if row.stop_reason == reason else 0 for reason in _STOP_TALLY_ORDER]
+        rows.append(("gen", row.generation, row.cumulative_evaluations, *tallies, row.race_length))
+    rows += [("pop", *point) for point in record.final_points.tolist()]
+    for key in ("hv_front", "hv_solution", "delta_hv"):
+        rows.append(("score", key, getattr(report, key)))
+    rows.append(("score", "frame", "fallback"))
+    _write_csv(path, rows)
 
 
 @dataclass
@@ -413,29 +414,6 @@ SIGNIFICANCE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    problem: str
-    noise: str
-    algorithm: str
-    estimator: str
-    budget: int
-    confidence: float
-    seed: int
-    delta_hv: float
-    evaluations: int
-
-    def sort_key(self):
-        return (
-            self.problem,
-            self.noise,
-            self.algorithm,
-            self.budget,
-            self.confidence,
-            self.seed,
-        )
-
-
 def score_runs(source, summary_path, significance_path, front_resolution: int = 1000) -> None:
     """Score run files with batch frames and write summary + significance.
 
@@ -445,13 +423,13 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
     algorithm variants within a cell, paired by common seeds (at least 5
     required for a row). ``source`` is one run file or a directory whose
     ``.csv`` files are scanned; other files found there are skipped. A run
-    file lacking a meta key the summary reads, or holding a non-numeric or
-    non-finite one, is a ConfigError.
+    file lacking a meta key the summary reads, holding a non-numeric or
+    non-finite one, or naming an unknown problem, is a ConfigError.
     """
     root = Path(source)
     if not (root.is_file() or root.is_dir()):
         raise ConfigError(f"no such run source: {source}")
-    by_cell: dict[tuple[str, str], list[tuple[dict, np.ndarray]]] = {}
+    by_cell: dict[tuple[str, str], list[tuple[tuple, np.ndarray]]] = {}
     for path in [root] if root.is_file() else sorted(root.rglob("*.csv")):
         try:
             meta, _, points, _ = _split_run_file(path)
@@ -461,14 +439,19 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
             continue  # a scanned directory may hold other tables, such as a summary
         try:
             cell = (meta["problem"], meta["noise"])
-            run = {
-                "algorithm": meta["algorithm"],
-                "estimator": meta["estimator"],
-                "budget": _number("sampling_budget", meta["sampling_budget"], int),
-                "confidence": _finite("confidence", meta["confidence"]),
-                "seed": _number("seed", meta["seed"], int),
-                "evaluations": _number("evaluations", meta["evaluations"], int),
-            }
+            if cell[0] not in PROBLEM_NAMES:
+                raise ConfigError(
+                    f"problem must be one of {', '.join(PROBLEM_NAMES)}, got {cell[0]!r}"
+                )
+            # The summary columns from algorithm to evaluations, delta_hv left out.
+            run = (
+                meta["algorithm"],
+                meta["estimator"],
+                _number("sampling_budget", meta["sampling_budget"], int),
+                _finite("confidence", meta["confidence"]),
+                _number("seed", meta["seed"], int),
+                _number("evaluations", meta["evaluations"], int),
+            )
         except KeyError as exc:
             raise ConfigError(f"{path}: missing meta key {exc.args[0]!r}") from None
         except ConfigError as exc:
@@ -477,71 +460,33 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
     if not by_cell:
         raise ConfigError(f"no run files found under {source}")
 
-    summary_rows: list[SummaryRow] = []
+    summary_rows = []
     for (problem_name, noise_name), cell_runs in sorted(by_cell.items()):
         front = make_problem(problem_name).true_front(front_resolution)
         point_sets = [points for _, points in cell_runs]
         frame = build_frame(front, *point_sets)
         reports = delta_hypervolumes(point_sets, front, frame)
         for (run, _), report in zip(cell_runs, reports):
-            summary_rows.append(
-                SummaryRow(problem=problem_name, noise=noise_name, delta_hv=report.delta_hv, **run)
-            )
-    summary_rows.sort(key=SummaryRow.sort_key)
+            summary_rows.append((problem_name, noise_name, *run[:-1], report.delta_hv, run[-1]))
+    # By problem, noise, algorithm, budget, confidence and seed; stable for ties.
+    summary_rows.sort(key=operator.itemgetter(0, 1, 2, 4, 5, 6))
+    _write_csv(summary_path, [SUMMARY_COLUMNS, *summary_rows])
 
-    summary_path = Path(summary_path)
-    summary_path.parent.mkdir(parents=True, exist_ok=True)
-    with summary_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in summary_rows:
-            writer.writerow(
-                [
-                    row.problem,
-                    row.noise,
-                    row.algorithm,
-                    row.estimator,
-                    row.budget,
-                    _fmt(row.confidence),
-                    row.seed,
-                    _fmt(row.delta_hv),
-                    row.evaluations,
-                ]
-            )
-
-    significance_path = Path(significance_path)
-    significance_path.parent.mkdir(parents=True, exist_ok=True)
-    with significance_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SIGNIFICANCE_COLUMNS)
-        cells: dict[tuple[str, str], dict[tuple[str, int, float], dict[int, float]]] = {}
-        for row in summary_rows:
-            variant = (row.algorithm, row.budget, row.confidence)
-            cells.setdefault((row.problem, row.noise), {}).setdefault(variant, {})[
-                row.seed
-            ] = row.delta_hv
-        for (problem_name, noise_name), variants in sorted(cells.items()):
-            for va, vb in itertools.combinations(sorted(variants), 2):
-                common = sorted(set(variants[va]) & set(variants[vb]))
-                if len(common) < 5:
-                    continue
-                a = [variants[va][s] for s in common]
-                b = [variants[vb][s] for s in common]
-                p = wilcoxon_signed_rank(a, b)
-                writer.writerow(
-                    [
-                        problem_name,
-                        noise_name,
-                        va[0],
-                        va[1],
-                        _fmt(va[2]),
-                        vb[0],
-                        vb[1],
-                        _fmt(vb[2]),
-                        len(common),
-                        _fmt(p),
-                    ]
-                )
+    cells: dict[tuple[str, str], dict[tuple[str, int, float], dict[int, float]]] = {}
+    for problem, noise, algorithm, _, budget, confidence, seed, delta_hv, _ in summary_rows:
+        cell = cells.setdefault((problem, noise), {})
+        cell.setdefault((algorithm, budget, confidence), {})[seed] = delta_hv
+    significance_rows = []
+    for (problem_name, noise_name), variants in sorted(cells.items()):
+        for va, vb in itertools.combinations(sorted(variants), 2):
+            common = sorted(set(variants[va]) & set(variants[vb]))
+            if len(common) < 5:
+                continue
+            a = [variants[va][s] for s in common]
+            b = [variants[vb][s] for s in common]
+            p = wilcoxon_signed_rank(a, b)
+            significance_rows.append((problem_name, noise_name, *va, *vb, len(common), p))
+    _write_csv(significance_path, [SIGNIFICANCE_COLUMNS, *significance_rows])
 
 
 def _execute_run(cfg: ExperimentConfig, seed: int, path_str: str) -> tuple[str, str]:
@@ -562,22 +507,25 @@ def run_batch(configs, out_dir, jobs: int = 1) -> tuple[Path, Path]:
     in ``out_dir/failures.csv`` and excluded from scoring instead of
     aborting the batch. At most ``jobs`` worker processes run, and no more
     than there are runs or CPUs. Returns (summary_path, significance_path).
+
+    A repeated (config, seed) pair runs once; two different runs that
+    would write the same run file are a ConfigError naming the file.
     """
     configs = list(configs)
     if not configs:
         raise ConfigError("batch needs at least one configuration")
-    out_dir = Path(out_dir)
-    runs_dir = out_dir / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
-    tasks: list[tuple[ExperimentConfig, int, str]] = []
-    seen: set[str] = set()
+    # A run reads every config field but seeds.
+    runs: dict[str, tuple[ExperimentConfig, int]] = {}
     for cfg in configs:
         for seed in cfg.seeds:
             name = cfg.run_filename(seed)
-            if name in seen:
-                continue
-            seen.add(name)
-            tasks.append((cfg, seed, str(runs_dir / name)))
+            run = (replace(cfg, seeds=(seed,)), seed)
+            if runs.setdefault(name, run) != run:
+                raise ConfigError(f"two different configurations write run file {name}")
+    out_dir = Path(out_dir)
+    runs_dir = out_dir / "runs"
+    runs_dir.mkdir(parents=True, exist_ok=True)
+    tasks = [(cfg, seed, str(runs_dir / name)) for name, (cfg, seed) in runs.items()]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         cfgs, seeds, paths = zip(*tasks)
@@ -587,11 +535,8 @@ def run_batch(configs, out_dir, jobs: int = 1) -> tuple[Path, Path]:
         results = [_execute_run(*task) for task in tasks]
     failures = [(path, err) for path, err in results if err]
     if failures:
-        with (out_dir / "failures.csv").open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["run_file", "error"])
-            for path, err in sorted(failures):
-                writer.writerow([Path(path).name, err])
+        rows = sorted((Path(path).name, err) for path, err in failures)
+        _write_csv(out_dir / "failures.csv", [("run_file", "error"), *rows])
         for path, _ in failures:
             Path(path).unlink(missing_ok=True)
     summary_path = out_dir / "summary.csv"
@@ -648,8 +593,8 @@ def parse_grid(text: str) -> dict:
 def expand_grid(grid: dict) -> list[ExperimentConfig]:
     """Expand a parsed grid into canonical configs, deduplicated.
 
-    Implicit averaging ignores budget and confidence, static resampling
-    ignores confidence; their cells collapse accordingly.
+    An algorithm's cells collapse over the settings it does not take
+    (``algorithm_settings``); one it takes needs its grid list.
     """
     problems = grid.get("problems") or list(PROBLEM_NAMES)
     noises = grid.get("noises") or list(NOISE_NAMES)
@@ -676,11 +621,9 @@ def expand_grid(grid: dict) -> list[ExperimentConfig]:
     for problem, noise, algorithm, budget, confidence in itertools.product(
         problems, noises, algorithms, budgets or [1], confidences or [0.0]
     ):
-        if algorithm != "implicit":
-            if not budgets:
-                raise ConfigError(f"{algorithm} requires a budgets list in the grid")
-            if not (algorithm.startswith("static") or confidences):
-                raise ConfigError(f"{algorithm} requires a confidences list in the grid")
+        for setting, values in (("budget", budgets), ("confidence", confidences)):
+            if setting in algorithm_settings(algorithm) and not values:
+                raise ConfigError(f"{algorithm} requires a {setting}s list in the grid")
         configs.setdefault(
             ExperimentConfig(
                 problem, noise, algorithm, sampling_budget=budget, confidence=confidence, **common
@@ -734,22 +677,9 @@ def emit_boxplot_data(summary_path, out_path) -> None:
             except ConfigError as exc:
                 raise _malformed(summary_path, reader.line_num, str(exc)) from None
             groups.setdefault(key, []).append(value)
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with out_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(BOXPLOT_COLUMNS)
-        for key in sorted(groups):
-            values = np.asarray(groups[key], dtype=float)
-            q = np.percentile(values, [0, 25, 50, 75, 100], method="linear")
-            writer.writerow(
-                [
-                    key[0],
-                    key[1],
-                    key[2],
-                    key[3],
-                    _fmt(key[4]),
-                    values.size,
-                    *(_fmt(float(v)) for v in q),
-                ]
-            )
+    rows = [BOXPLOT_COLUMNS]
+    for key in sorted(groups):
+        values = np.asarray(groups[key], dtype=float)
+        q = np.percentile(values, [0, 25, 50, 75, 100], method="linear")
+        rows.append((*key, values.size, *q.tolist()))
+    _write_csv(out_path, rows)

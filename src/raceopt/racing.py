@@ -63,6 +63,9 @@ class StopReason(enum.Enum):
     T_MAX = "t_max"
 
 
+DEFAULT_PROXIMITY = 0.5
+
+
 @dataclass(frozen=True)
 class RaceConfig:
     """Parameters of one race.
@@ -74,7 +77,7 @@ class RaceConfig:
 
     delta: float
     t_max: int
-    proximity_threshold: float = 0.5
+    proximity_threshold: float = DEFAULT_PROXIMITY
     estimator: EstimatorKind = EstimatorKind.LAST
 
     def __post_init__(self) -> None:
@@ -382,25 +385,35 @@ def static_select(
     )
 
 
-ALGORITHM_IDS = ("implicit", "static-avg", "static-med", "rsp-i", "rsp-avg", "rsp-med")
-
-_ALGORITHM_ESTIMATOR = {
-    "implicit": EstimatorKind.LAST,
-    "static-avg": EstimatorKind.MEAN,
-    "static-med": EstimatorKind.MEDIAN,
-    "rsp-i": EstimatorKind.LAST,
-    "rsp-avg": EstimatorKind.MEAN,
-    "rsp-med": EstimatorKind.MEDIAN,
+# Per algorithm id: its estimator and the settings it takes. Every other
+# rule that depends on an algorithm's family reads it here.
+ALGORITHMS = {
+    "implicit": (EstimatorKind.LAST, ()),
+    "static-avg": (EstimatorKind.MEAN, ("budget",)),
+    "static-med": (EstimatorKind.MEDIAN, ("budget",)),
+    "rsp-i": (EstimatorKind.LAST, ("budget", "confidence")),
+    "rsp-avg": (EstimatorKind.MEAN, ("budget", "confidence")),
+    "rsp-med": (EstimatorKind.MEDIAN, ("budget", "confidence")),
 }
+ALGORITHM_IDS = tuple(ALGORITHMS)
 
 
-def algorithm_estimator(algorithm: str) -> EstimatorKind:
+def _algorithm(algorithm: str) -> tuple[EstimatorKind, tuple[str, ...]]:
     try:
-        return _ALGORITHM_ESTIMATOR[algorithm]
+        return ALGORITHMS[algorithm]
     except KeyError:
         raise ValueError(
             f"unknown algorithm: {algorithm!r} (valid: {', '.join(ALGORITHM_IDS)})"
         ) from None
+
+
+def algorithm_estimator(algorithm: str) -> EstimatorKind:
+    return _algorithm(algorithm)[0]
+
+
+def algorithm_settings(algorithm: str) -> tuple[str, ...]:
+    """The settings an algorithm takes: none, budget, or budget and confidence."""
+    return _algorithm(algorithm)[1]
 
 
 @dataclass(frozen=True)
@@ -434,24 +447,24 @@ def make_selector(
     algorithm: str,
     sampling_budget: int | None = None,
     confidence: float | None = None,
-    proximity_threshold: float = 0.5,
+    proximity_threshold: float = DEFAULT_PROXIMITY,
 ) -> Selector:
-    """Build a selector from an algorithm id.
+    """Build a selector from an algorithm id; the one check of its settings.
 
     The sampling budget doubles as the static sample count and the racing
     iteration cap. Racing variants additionally need a confidence level in
-    (0, 1); the race's error allowance is delta = 1 - confidence.
+    (0, 1); the race's error allowance is delta = 1 - confidence. A setting
+    the algorithm does not take is ignored.
     """
-    estimator = algorithm_estimator(algorithm)
-    if algorithm == "implicit":
+    estimator, settings = _algorithm(algorithm)
+    if not settings:
         return Selector(estimator, 1)
     if sampling_budget is None or sampling_budget < 1:
-        raise ValueError(f"{algorithm} requires a sampling budget >= 1")
-    if algorithm.startswith("static"):
+        raise ValueError("sampling_budget must be at least 1")
+    if "confidence" not in settings:
         return Selector(estimator, sampling_budget)
-    # rsp-* variants
     if confidence is None or not 0.0 < confidence < 1.0:
-        raise ValueError(f"{algorithm} requires a confidence in (0, 1)")
+        raise ValueError("racing algorithms need a confidence in (0, 1)")
     race = RaceConfig(
         delta=1.0 - confidence,
         t_max=sampling_budget,

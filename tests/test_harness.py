@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from raceopt.harness import (
     score_runs,
     write_run_csv,
 )
+from raceopt.racing import ALGORITHMS, make_selector
 
 
 def _tiny(algorithm="implicit", **overrides):
@@ -764,3 +766,115 @@ def test_cli_runtime_errors_exit_1(tmp_path, capsys):
     summary = tmp_path / "summary.csv"
     assert cli_main(["score", "--in", str(bad), "--out", str(summary)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the algorithm table: which settings each algorithm takes
+
+_FLAG_VALUES = {"budget": "2", "confidence": "0.5"}
+
+
+def _flags(settings) -> list[str]:
+    return [arg for setting in settings for arg in (f"--{setting}", _FLAG_VALUES[setting])]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_cli_run_takes_exactly_the_flags_the_table_lists(algorithm, tmp_path, capsys):
+    takes = ALGORITHMS[algorithm][1]
+    out = tmp_path / "run.csv"
+    common = ["run", "--problem", "zdt1", "--noise", "none", "--pop", "8", "--evals", "60",
+              "--seed", "0", "--algo", algorithm, "--out", str(out)]
+    for setting in ("budget", "confidence"):
+        if setting in takes:
+            argv = common + _flags(s for s in takes if s != setting)
+            rule = "is required for"
+        else:
+            argv = common + _flags(takes) + _flags([setting])
+            rule = "does not apply to"
+        assert cli_main(argv) == 2
+        assert f"--{setting} {rule} algorithm {algorithm!r}" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli_main(common + _flags(takes)) == 0
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_expand_grid_requires_the_lists_the_table_lists(algorithm):
+    takes = ALGORITHMS[algorithm][1]
+    full = {"problems": ["zdt1"], "noises": ["none"], "algorithms": [algorithm],
+            "budgets": ["2"], "confidences": ["0.5"]}
+    (cfg,) = expand_grid(full)
+    assert cfg.sampling_budget == (2 if "budget" in takes else 1)
+    assert cfg.confidence == (0.5 if "confidence" in takes else 0.0)
+    for setting in ("budget", "confidence"):
+        grid = {key: value for key, value in full.items() if key != setting + "s"}
+        if setting in takes:
+            with pytest.raises(ConfigError,
+                               match=f"^{algorithm} requires a {setting}s list in the grid$"):
+                expand_grid(grid)
+        else:
+            assert expand_grid(grid) == [cfg]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_config_and_selector_reject_a_bad_setting_with_one_message(algorithm):
+    takes = ALGORITHMS[algorithm][1]
+    budget_message = "sampling_budget must be at least 1"
+    confidence_message = "racing algorithms need a confidence in (0, 1)"
+    for budget, confidence, setting, message in (
+        (0, 0.5, "budget", budget_message),
+        (-3, 0.5, "budget", budget_message),
+        (2, 0.0, "confidence", confidence_message),
+        (2, 1.0, "confidence", confidence_message),
+        (2, float("nan"), "confidence", confidence_message),
+    ):
+        if setting in takes:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make_selector(algorithm, budget, confidence)
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                _tiny(algorithm, sampling_budget=budget, confidence=confidence)
+        else:
+            make_selector(algorithm, budget, confidence)
+            _tiny(algorithm, sampling_budget=budget, confidence=confidence)
+
+
+# ---------------------------------------------------------------------------
+# configurations refused before any run
+
+
+def test_batch_refuses_two_configs_that_write_one_run_file(tmp_path):
+    small, large = _tiny(population_size=8), _tiny(population_size=10)
+    name = small.run_filename(0)
+    assert large.run_filename(0) == name
+    with pytest.raises(ConfigError, match=f"write run file {re.escape(name)}$"):
+        run_batch([small, large], tmp_path)
+    assert not (tmp_path / "runs").exists()
+    # The same (config, seed) pair runs once, whatever seed lists carry it.
+    run_batch([_tiny(seeds=(0, 1)), _tiny(seeds=(1, 2))], tmp_path)
+    assert len(list((tmp_path / "runs").glob("*.csv"))) == 3
+
+
+def test_negative_seeds_exit_2_before_any_run(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="seeds must be non-negative, got -1"):
+        _tiny(seeds=(3, -1))
+    out = tmp_path / "run.csv"
+    assert cli_main(["run", "--problem", "zdt1", "--noise", "none", "--algo", "implicit",
+                     "--seed", "-1", "--out", str(out)]) == 2
+    assert "configuration error: seeds must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+    grid_path = tmp_path / "grid.cfg"
+    grid_path.write_text(GRID.replace("master_seed = 5", "master_seed = -1"))
+    out_dir = tmp_path / "out"
+    assert cli_main(["batch", "--config", str(grid_path), "--out", str(out_dir)]) == 2
+    assert "configuration error: seeds must be non-negative, got -1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_score_names_file_and_key_of_an_unknown_meta_problem(tmp_path, capsys):
+    path, lines = _written_run(tmp_path)
+    path.write_text("".join("meta,problem,zdt7\n" if line.startswith("meta,problem,") else line
+                            for line in lines))
+    summary = tmp_path / "summary.csv"
+    assert cli_main(["score", "--in", str(path), "--out", str(summary)]) == 2
+    err = capsys.readouterr().err
+    assert "run.csv: meta problem must be one of zdt1, zdt2, zdt3, zdt4, zdt6, got 'zdt7'" in err
+    assert not summary.exists()
