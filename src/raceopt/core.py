@@ -142,6 +142,15 @@ class Individual:
         self.objectives = np.asarray(self.objectives, dtype=float)
 
 
+def lookup(table: dict, kind: str, name: str):
+    """The entry of ``name`` in a registry keyed by lower-case names; an
+    unknown name is a ValueError listing the valid names in table order."""
+    try:
+        return table[name.lower()]
+    except KeyError:
+        raise ValueError(f"unknown {kind}: {name!r} (valid: {', '.join(table)})") from None
+
+
 def make_rng(*keys: int) -> np.random.Generator:
     """Build a PCG64 generator from a hierarchical integer key path.
 

@@ -113,21 +113,13 @@ class ExperimentConfig:
     max_generations: int | None = None
 
     def __post_init__(self) -> None:
-        self.problem = str(self.problem).lower()
-        if self.problem not in PROBLEM_NAMES:
-            raise ConfigError(
-                f"unknown problem: {self.problem!r} (valid: {', '.join(PROBLEM_NAMES)})"
-            )
-        self.noise = str(self.noise).lower()
-        if self.noise not in NOISE_NAMES:
-            raise ConfigError(
-                f"unknown noise: {self.noise!r} (valid: {', '.join(NOISE_NAMES)})"
-            )
-        self.algorithm = canonical_algorithm(self.algorithm)
-        settings = algorithm_settings(self.algorithm)
-        self.sampling_budget = int(self.sampling_budget) if "budget" in settings else 1
-        self.confidence = float(self.confidence) if "confidence" in settings else 0.0
         try:
+            self.problem = make_problem(str(self.problem)).name
+            self.noise = make_noise(str(self.noise)).kind
+            self.algorithm = str(self.algorithm).lower()
+            settings = algorithm_settings(self.algorithm)
+            self.sampling_budget = int(self.sampling_budget) if "budget" in settings else 1
+            self.confidence = float(self.confidence) if "confidence" in settings else 0.0
             make_selector(self.algorithm, self.sampling_budget, self.confidence)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -424,7 +416,9 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
     required for a row). ``source`` is one run file or a directory whose
     ``.csv`` files are scanned; other files found there are skipped. A run
     file lacking a meta key the summary reads, holding a non-numeric or
-    non-finite one, or naming an unknown problem, is a ConfigError.
+    non-finite one, holding a setting ``ExperimentConfig`` rejects, or
+    writing an algorithm, estimator, budget or confidence other than its
+    configuration writes, is a ConfigError.
     """
     root = Path(source)
     if not (root.is_file() or root.is_dir()):
@@ -438,25 +432,24 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
                 raise
             continue  # a scanned directory may hold other tables, such as a summary
         try:
-            cell = (meta["problem"], meta["noise"])
-            if cell[0] not in PROBLEM_NAMES:
-                raise ConfigError(
-                    f"problem must be one of {', '.join(PROBLEM_NAMES)}, got {cell[0]!r}"
-                )
-            # The summary columns from algorithm to evaluations, delta_hv left out.
-            run = (
-                meta["algorithm"],
-                meta["estimator"],
+            cfg = ExperimentConfig(
+                meta["problem"], meta["noise"], meta["algorithm"],
                 _number("sampling_budget", meta["sampling_budget"], int),
                 _finite("confidence", meta["confidence"]),
-                _number("seed", meta["seed"], int),
-                _number("evaluations", meta["evaluations"], int),
+                seeds=(_number("seed", meta["seed"], int),),
             )
+            # The summary columns from algorithm to evaluations, delta_hv left out.
+            run = (cfg.algorithm, cfg.estimator, cfg.sampling_budget, cfg.confidence,
+                   cfg.seeds[0], _number("evaluations", meta["evaluations"], int))
+            # Each setting as written must be the one its configuration writes.
+            for key, value in zip(("algorithm", "estimator", "sampling_budget", "confidence"), run):
+                if meta[key] != str(value):
+                    raise ConfigError(f"{key} {meta[key]!r} differs from the canonical {value!r}")
         except KeyError as exc:
             raise ConfigError(f"{path}: missing meta key {exc.args[0]!r}") from None
         except ConfigError as exc:
             raise ConfigError(f"{path}: meta {exc}") from None
-        by_cell.setdefault(cell, []).append((run, points))
+        by_cell.setdefault((cfg.problem, cfg.noise), []).append((run, points))
     if not by_cell:
         raise ConfigError(f"no run files found under {source}")
 
@@ -603,6 +596,8 @@ def expand_grid(grid: dict) -> list[ExperimentConfig]:
     confidences = [_number("confidences", c, float) for c in grid.get("confidences", [])]
     master_seed = _number("master_seed", grid.get("master_seed", 0), int)
     runs = _number("runs", grid.get("runs", DEFAULT_RUNS), int)
+    if runs < 1:
+        raise ConfigError(f"runs must be at least 1, got {runs}")
     seeds = default_seeds(master_seed, runs)
     common = {
         "proximity_threshold": _number(

@@ -12,6 +12,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core import lookup
+
 # Nondominated x1 intervals of the ZDT3 trade-off curve, derived by
 # scripts/derive_zdt3_front.py (bisection on the oscillating curve,
 # boundary points strictly below the preceding local minimum).
@@ -158,49 +160,39 @@ def _zdt6_front(count: int) -> np.ndarray:
     return np.column_stack([f1, 1.0 - f1**2])
 
 
-def _bounds(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    return np.full(n, lo), np.full(n, hi)
+# Per problem: variables, the box of every variable after the first (the
+# first lies in [0, 1]), objective function and front sampler.
+_PROBLEMS = {
+    "zdt1": (30, (0.0, 1.0), _zdt1_eval, _convex_front),
+    "zdt2": (30, (0.0, 1.0), _zdt2_eval, _concave_front),
+    "zdt3": (30, (0.0, 1.0), _zdt3_eval, _zdt3_front),
+    "zdt4": (10, (-5.0, 5.0), _zdt4_eval, _convex_front),
+    "zdt6": (10, (0.0, 1.0), _zdt6_eval, _zdt6_front),
+}
+PROBLEM_NAMES = tuple(_PROBLEMS)
 
 
 def make_problem(name: str) -> Problem:
-    """Look up a benchmark problem by identifier (zdt1, zdt2, zdt3, zdt4, zdt6)."""
-    key = name.lower()
-    if key == "zdt1":
-        lo, hi = _bounds(30, 0.0, 1.0)
-        return Problem("zdt1", 30, lo, hi, _zdt1_eval, _convex_front)
-    if key == "zdt2":
-        lo, hi = _bounds(30, 0.0, 1.0)
-        return Problem("zdt2", 30, lo, hi, _zdt2_eval, _concave_front)
-    if key == "zdt3":
-        lo, hi = _bounds(30, 0.0, 1.0)
-        return Problem("zdt3", 30, lo, hi, _zdt3_eval, _zdt3_front)
-    if key == "zdt4":
-        lo = np.full(10, -5.0)
-        hi = np.full(10, 5.0)
-        lo[0], hi[0] = 0.0, 1.0
-        return Problem("zdt4", 10, lo, hi, _zdt4_eval, _convex_front)
-    if key == "zdt6":
-        lo, hi = _bounds(10, 0.0, 1.0)
-        return Problem("zdt6", 10, lo, hi, _zdt6_eval, _zdt6_front)
-    raise ValueError(f"unknown problem: {name!r}")
+    """Look up a benchmark problem by identifier, in any case."""
+    n, (lo, hi), evaluate, front = lookup(_PROBLEMS, "problem", name)
+    lower, upper = np.full(n, lo), np.full(n, hi)
+    lower[0], upper[0] = 0.0, 1.0
+    return Problem(name.lower(), n, lower, upper, evaluate, front)
 
-
-PROBLEM_NAMES = ("zdt1", "zdt2", "zdt3", "zdt4", "zdt6")
-
-
-class NoiseKind:
-    NONE = "none"
-    GAUSSIAN = "gaussian"
-    CAUCHY = "cauchy"
-    GUMBEL = "gumbel"
-
-
-NOISE_NAMES = (NoiseKind.NONE, NoiseKind.GAUSSIAN, NoiseKind.CAUCHY, NoiseKind.GUMBEL)
 
 # Gumbel location chosen so the noise median is exactly zero:
 # median = mu + beta * (-ln(ln 2)) = 0 with beta = 2.
 GUMBEL_SCALE = 2.0
 GUMBEL_LOCATION = 2.0 * math.log(math.log(2.0))
+
+# Per noise model: raw draws of a given shape from a generator.
+_NOISES = {
+    "none": lambda size, rng: np.zeros(size),
+    "gaussian": lambda size, rng: rng.normal(0.0, 0.25, size=size),
+    "cauchy": lambda size, rng: 0.25 * rng.standard_cauchy(size=size),
+    "gumbel": lambda size, rng: rng.gumbel(GUMBEL_LOCATION, GUMBEL_SCALE, size=size),
+}
+NOISE_NAMES = tuple(_NOISES)
 
 _REDRAW_CAP = 100
 
@@ -228,22 +220,12 @@ class NoiseModel:
     def _draw_once(self, size, rng: np.random.Generator) -> np.ndarray:
         """Raw draws of shape ``size``: k values for one vector, or (rows, k)
         for a block, filled row by row as that many k-value draws would be."""
-        if self.kind == NoiseKind.NONE:
-            return np.zeros(size)
-        if self.kind == NoiseKind.GAUSSIAN:
-            return rng.normal(0.0, 0.25, size=size)
-        if self.kind == NoiseKind.CAUCHY:
-            return 0.25 * rng.standard_cauchy(size=size)
-        if self.kind == NoiseKind.GUMBEL:
-            return rng.gumbel(GUMBEL_LOCATION, GUMBEL_SCALE, size=size)
-        raise ValueError(f"unknown noise model: {self.kind!r}")
+        return lookup(_NOISES, "noise", self.kind)(size, rng)
 
 
 def make_noise(name: str) -> NoiseModel:
-    key = name.lower()
-    if key not in NOISE_NAMES:
-        raise ValueError(f"unknown noise model: {name!r}")
-    return NoiseModel(key)
+    lookup(_NOISES, "noise", name)
+    return NoiseModel(name.lower())
 
 
 class NoisyProblem:
@@ -266,7 +248,7 @@ class NoisyProblem:
     ) -> None:
         if max_evaluations is not None and max_evaluations < 0:
             raise ValueError("max_evaluations must be non-negative")
-        if rng is None and noise.kind != NoiseKind.NONE:
+        if rng is None and noise.kind != "none":
             raise ValueError(f"noise model {noise.kind!r} needs a generator")
         self.problem = problem
         self.noise = noise

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EstimatorKind, Individual, estimator_value
+from .core import EstimatorKind, Individual, estimator_value, lookup
 from .moea import (
     SelectionOutcome,
     binary_tournament,
@@ -399,12 +399,7 @@ ALGORITHM_IDS = tuple(ALGORITHMS)
 
 
 def _algorithm(algorithm: str) -> tuple[EstimatorKind, tuple[str, ...]]:
-    try:
-        return ALGORITHMS[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm: {algorithm!r} (valid: {', '.join(ALGORITHM_IDS)})"
-        ) from None
+    return lookup(ALGORITHMS, "algorithm", algorithm)
 
 
 def algorithm_estimator(algorithm: str) -> EstimatorKind:

@@ -26,7 +26,9 @@ from raceopt.harness import (
     score_runs,
     write_run_csv,
 )
-from raceopt.racing import ALGORITHMS, make_selector
+from raceopt.core import make_rng
+from raceopt.problems import NOISE_NAMES, PROBLEM_NAMES, NoiseModel, make_noise, make_problem
+from raceopt.racing import ALGORITHM_IDS, ALGORITHMS, make_selector
 
 
 def _tiny(algorithm="implicit", **overrides):
@@ -876,5 +878,86 @@ def test_cli_score_names_file_and_key_of_an_unknown_meta_problem(tmp_path, capsy
     summary = tmp_path / "summary.csv"
     assert cli_main(["score", "--in", str(path), "--out", str(summary)]) == 2
     err = capsys.readouterr().err
-    assert "run.csv: meta problem must be one of zdt1, zdt2, zdt3, zdt4, zdt6, got 'zdt7'" in err
+    assert "run.csv: meta unknown problem: 'zdt7' (valid: zdt1, zdt2, zdt3, zdt4, zdt6)" in err
     assert not summary.exists()
+
+
+# (algorithm of the written run, meta rows replaced, text naming the key)
+META_EDITS = (
+    ("rsp-i", {"noise": "pink"},
+     "meta unknown noise: 'pink' (valid: none, gaussian, cauchy, gumbel)"),
+    ("rsp-i", {"sampling_budget": "-7", "confidence": "5.0"},
+     "meta sampling_budget must be at least 1"),
+    ("implicit", {"sampling_budget": "7"},
+     "meta sampling_budget '7' differs from the canonical 1"),
+    ("rsp-med", {"estimator": "mean"},
+     "meta estimator 'mean' differs from the canonical 'median'"),
+)
+
+
+@pytest.mark.parametrize("algorithm, edits, named", META_EDITS,
+                         ids=[case[0] + "-" + "-".join(case[1]) for case in META_EDITS])
+def test_cli_score_rejects_meta_its_configuration_would_not_write(tmp_path, capsys, algorithm,
+                                                                  edits, named):
+    path = tmp_path / "run.csv"
+    settings = {} if algorithm == "implicit" else {"sampling_budget": 3, "confidence": 0.25}
+    write_run_csv(run_experiment(_tiny(algorithm, noise="gaussian", **settings), seed=1), path)
+    lines = path.read_text().splitlines(keepends=True)
+    # The file as written scores; only the edit makes it fail.
+    assert cli_main(["score", "--in", str(path), "--out", str(tmp_path / "ok.csv")]) == 0
+    capsys.readouterr()
+    for key, value in edits.items():
+        row = _first_line(lines, f"meta,{key}")
+        lines[row] = f"meta,{key},{value}\n"
+    path.write_text("".join(lines))
+    summary = tmp_path / "summary.csv"
+    assert cli_main(["score", "--in", str(path), "--out", str(summary)]) == 2
+    assert f"run.csv: {named}" in capsys.readouterr().err
+    assert not summary.exists()
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_grid_runs_below_one_exits_2_naming_runs_before_any_run(tmp_path, capsys, runs):
+    text = GRID.replace("runs = 2", f"runs = {runs}")
+    with pytest.raises(ConfigError, match=rf"^runs must be at least 1, got {runs}$"):
+        expand_grid(parse_grid(text))
+    grid_path = tmp_path / "grid.cfg"
+    grid_path.write_text(text)
+    out_dir = tmp_path / "out"
+    assert cli_main(["batch", "--config", str(grid_path), "--out", str(out_dir)]) == 2
+    assert f"configuration error: runs must be at least 1, got {runs}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+# (kind, its names in table order, an unknown name, the library lookup,
+# a config built around the name)
+REGISTRIES = (
+    ("problem", PROBLEM_NAMES, "zdt7", make_problem,
+     lambda name: ExperimentConfig(name, "none", "implicit")),
+    ("noise", NOISE_NAMES, "laplace", make_noise,
+     lambda name: ExperimentConfig("zdt1", name, "implicit")),
+    ("algorithm", ALGORITHM_IDS, "racing", lambda name: make_selector(name, 3, 0.5),
+     lambda name: ExperimentConfig("zdt1", "none", name, 3, 0.5)),
+)
+
+
+@pytest.mark.parametrize("kind, names, unknown, resolve, configure", REGISTRIES,
+                         ids=[case[0] for case in REGISTRIES])
+def test_every_registry_resolves_any_case_and_names_unknown_entries_alike(
+        kind, names, unknown, resolve, configure):
+    for name in names:
+        for spelling in (name, name.upper()):
+            resolve(spelling)
+            assert getattr(configure(spelling), kind) == name
+    message = f"unknown {kind}: '{unknown}' (valid: {', '.join(names)})"
+    with pytest.raises(ValueError) as library:
+        resolve(unknown)
+    assert type(library.value) is ValueError and str(library.value) == message
+    with pytest.raises(ConfigError) as config:
+        configure(unknown)
+    assert str(config.value) == message
+    if kind == "noise":
+        # The model's own draw looks its kind up in the same table.
+        with pytest.raises(ValueError) as draw:
+            NoiseModel(unknown).draw(2, make_rng(0))
+        assert type(draw.value) is ValueError and str(draw.value) == message
