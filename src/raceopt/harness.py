@@ -254,11 +254,9 @@ def _write_csv(path, rows) -> None:
         csv.writer(handle).writerows(rows)
 
 
-def write_run_csv(record: RunRecord, path) -> None:
-    """Serialize a run: meta rows, one row per generation, the final
-    population's true objective values, and a fallback-frame score."""
-    cfg = record.config
-    meta = {
+def _run_meta(cfg: ExperimentConfig, seed: int, generations: int, evaluations) -> dict:
+    """The meta rows of a run file, in file order."""
+    return {
         "problem": cfg.problem,
         "noise": cfg.noise,
         "algorithm": cfg.algorithm,
@@ -269,10 +267,17 @@ def write_run_csv(record: RunRecord, path) -> None:
         "population_size": cfg.population_size,
         "max_evaluations": cfg.max_evaluations,
         "max_generations": cfg.max_generations,
-        "seed": record.seed,
-        "generations": len(record.gen_rows),
-        "evaluations": record.evaluations,
+        "seed": seed,
+        "generations": generations,
+        "evaluations": evaluations,
     }
+
+
+def write_run_csv(record: RunRecord, path) -> None:
+    """Serialize a run: meta rows, one row per generation, the final
+    population's true objective values, and a fallback-frame score."""
+    cfg = record.config
+    meta = _run_meta(cfg, record.seed, len(record.gen_rows), record.evaluations)
     frame = fallback_frame(cfg.problem)
     report = delta_hypervolume(record.final_points, make_problem(cfg.problem), frame)
     rows = [("meta", key, value) for key, value in meta.items()]
@@ -415,10 +420,11 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
     algorithm variants within a cell, paired by common seeds (at least 5
     required for a row). ``source`` is one run file or a directory whose
     ``.csv`` files are scanned; other files found there are skipped. A run
-    file lacking a meta key the summary reads, holding a non-numeric or
-    non-finite one, holding a setting ``ExperimentConfig`` rejects, or
-    writing an algorithm, estimator, budget or confidence other than its
-    configuration writes, is a ConfigError.
+    file is a ConfigError when a meta key is missing, unknown, non-numeric
+    or non-finite, when ``ExperimentConfig`` rejects a setting, when a meta
+    row differs from what its configuration and gen rows write, when its
+    evaluations or generations exceed their caps, or when its pop rows
+    number other than its population size.
     """
     root = Path(source)
     if not (root.is_file() or root.is_dir()):
@@ -426,25 +432,46 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
     by_cell: dict[tuple[str, str], list[tuple[tuple, np.ndarray]]] = {}
     for path in [root] if root.is_file() else sorted(root.rglob("*.csv")):
         try:
-            meta, _, points, _ = _split_run_file(path)
+            meta, gen_rows, points, _ = _split_run_file(path)
         except _NotARunFile:
             if path == root:
                 raise
             continue  # a scanned directory may hold other tables, such as a summary
         try:
+            max_generations = meta["max_generations"]
             cfg = ExperimentConfig(
                 meta["problem"], meta["noise"], meta["algorithm"],
                 _number("sampling_budget", meta["sampling_budget"], int),
                 _finite("confidence", meta["confidence"]),
+                _finite("proximity_threshold", meta["proximity_threshold"]),
+                _number("population_size", meta["population_size"], int),
+                _number("max_evaluations", meta["max_evaluations"], int),
                 seeds=(_number("seed", meta["seed"], int),),
+                max_generations=(_number("max_generations", max_generations, int)
+                                 if max_generations else None),
             )
+            # A run has spent its last generation's evaluations, or its
+            # initial population's when no generation ran.
+            spent = gen_rows[-1][1][2] if gen_rows else cfg.population_size
+            written = _run_meta(cfg, cfg.seeds[0], len(gen_rows), spent)
+            # Every meta row must be the one its configuration and gen rows write.
+            for key in meta:
+                if key not in written:
+                    raise ConfigError(f"key {key!r} is not a run-file key")
+            for key, value in written.items():
+                if meta[key] != ("" if value is None else str(value)):
+                    raise ConfigError(f"{key} {meta[key]!r} differs from the canonical {value!r}")
+            evaluations = _number("evaluations", meta["evaluations"], int)
+            for key, count, cap in (("evaluations", evaluations, cfg.max_evaluations),
+                                    ("generations", len(gen_rows), cfg.max_generations)):
+                if cap is not None and count > cap:
+                    raise ConfigError(f"{key} {count} exceed max_{key} {cap}")
+            if points.shape[0] != cfg.population_size:
+                raise ConfigError(f"population_size {cfg.population_size} differs from the "
+                                  f"{points.shape[0]} pop rows")
             # The summary columns from algorithm to evaluations, delta_hv left out.
             run = (cfg.algorithm, cfg.estimator, cfg.sampling_budget, cfg.confidence,
-                   cfg.seeds[0], _number("evaluations", meta["evaluations"], int))
-            # Each setting as written must be the one its configuration writes.
-            for key, value in zip(("algorithm", "estimator", "sampling_budget", "confidence"), run):
-                if meta[key] != str(value):
-                    raise ConfigError(f"{key} {meta[key]!r} differs from the canonical {value!r}")
+                   cfg.seeds[0], evaluations)
         except KeyError as exc:
             raise ConfigError(f"{path}: missing meta key {exc.args[0]!r}") from None
         except ConfigError as exc:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import lookup
 from .problems import Problem
 
 
@@ -55,31 +56,31 @@ def normalize(points, frame: NormalizationFrame) -> np.ndarray:
     return np.minimum(scaled, 1.0)
 
 
-def hypervolume_2d(points, reference=(1.0, 1.0)) -> float:
-    """Exact area dominated by a 2-D point set, bounded by the reference.
+def hypervolume_2d(points) -> float:
+    """Exact area dominated by a 2-D point set, bounded by the reference
+    point (1, 1), the nadir of the normalized frame.
 
-    Points with any component at or beyond the reference contribute
-    nothing and are dropped; so are dominated points. The remainder is
-    swept in ascending f1, each point contributing the box from itself to
-    its successor's f1 and the reference's f2.
+    Points with any component at or beyond 1 contribute nothing and are
+    dropped; so are dominated points. The remainder is swept in ascending
+    f1, each point contributing the box from itself to its successor's f1
+    and the reference's f2.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         return 0.0
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must form an (n, 2) array")
-    ref = np.asarray(reference, dtype=float)
-    pts = pts[np.all(pts < ref, axis=1)]
+    pts = pts[np.all(pts < 1.0, axis=1)]
     if pts.shape[0] == 0:
         return 0.0
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     # A point is on the staircase iff it undercuts every f2 before it.
     best_before = np.minimum.accumulate(np.concatenate(([math.inf], pts[:-1, 1])))
     stairs = pts[pts[:, 1] < best_before]
-    widths = np.diff(np.append(stairs[:, 0], ref[0]))
+    widths = np.diff(np.append(stairs[:, 0], 1.0))
     # cumsum adds strictly left to right, as a scalar loop would; np.sum's
     # pairwise summation would change the last bits.
-    return float(np.cumsum(widths * (ref[1] - stairs[:, 1]))[-1])
+    return float(np.cumsum(widths * (1.0 - stairs[:, 1]))[-1])
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,6 @@ def delta_hypervolume(
     problem: Problem,
     frame: NormalizationFrame,
     front_resolution: int = 1000,
-    reference=(1.0, 1.0),
 ) -> HvReport:
     """Hypervolume shortfall of a solution set against the exact front.
 
@@ -105,18 +105,16 @@ def delta_hypervolume(
     estimator values below the true front can make the gap negative.
     """
     front = problem.true_front(front_resolution)
-    return delta_hypervolumes([solution], front, frame, reference)[0]
+    return delta_hypervolumes([solution], front, frame)[0]
 
 
-def delta_hypervolumes(
-    solutions, front, frame: NormalizationFrame, reference=(1.0, 1.0)
-) -> list[HvReport]:
+def delta_hypervolumes(solutions, front, frame: NormalizationFrame) -> list[HvReport]:
     """``delta_hypervolume`` of many solution sets sharing one frame, given
     the sampled exact front; the front's hypervolume is computed once."""
-    hv_front = hypervolume_2d(normalize(front, frame), reference)
+    hv_front = hypervolume_2d(normalize(front, frame))
     reports = []
     for solution in solutions:
-        hv_solution = hypervolume_2d(normalize(solution, frame), reference)
+        hv_solution = hypervolume_2d(normalize(solution, frame))
         reports.append(HvReport(hv_front, hv_solution, hv_front - hv_solution))
     return reports
 
@@ -236,7 +234,4 @@ FALLBACK_FRAMES: dict[str, NormalizationFrame] = {
 
 
 def fallback_frame(problem_name: str) -> NormalizationFrame:
-    try:
-        return FALLBACK_FRAMES[problem_name.lower()]
-    except KeyError:
-        raise ValueError(f"no fallback frame for problem: {problem_name!r}") from None
+    return lookup(FALLBACK_FRAMES, "fallback frame", problem_name)

@@ -184,42 +184,38 @@ def binary_tournament(outcome: SelectionOutcome, rng: np.random.Generator) -> in
     return i if rng.random() < 0.5 else j
 
 
-def sbx_crossover(parents, lower, upper, crossed, uniforms, eta: float = 20.0) -> np.ndarray:
+def sbx_crossover(parents, lower, upper, uniforms, eta: float = 20.0) -> np.ndarray:
     """Simulated binary crossover over a batch of mating pairs.
 
-    ``parents`` has shape (pairs, 2, n). ``crossed[p]`` says whether pair
-    p's pair-level gate fired, and ``uniforms[p]`` holds that pair's 2n
-    uniforms in draw order: n exchange draws, then n spread draws. A
+    ``parents`` has shape (pairs, 2, n), and ``uniforms[p]`` holds pair p's
+    2n uniforms in draw order: n exchange draws, then n spread draws. A
     coordinate is recombined when its exchange draw is at most 0.5, using
     a spread factor from the polynomial spread distribution with index
     ``eta``. Recombined coordinates are ordered: the first child takes the
     lower mix and the second the upper mix, so one child contracts toward
     the coordinate-wise minimum and the other toward the maximum; before
-    clipping each such pair preserves the parents' sum. Children of crossed
-    pairs are clipped to the box; uncrossed pairs are copied and their
-    uniforms are ignored. Returns the children as a new (pairs, 2, n) array.
+    clipping each such pair preserves the parents' sum. Children are
+    clipped to the box. Returns the children as a new (pairs, 2, n) array.
 
     Only recombined coordinates are computed, and every power is an array
     ufunc: a Python float or numpy scalar power can differ from it in the
     last bit, which would change run files.
     """
     parents = np.asarray(parents, dtype=float)
-    crossed = np.asarray(crossed, dtype=bool)
     uniforms = np.asarray(uniforms, dtype=float)
     children = parents.copy()
-    pair, col = np.nonzero((uniforms[:, 0] <= 0.5) & crossed[:, None])
-    if pair.size:
-        a = parents[pair, 0, col]
-        b = parents[pair, 1, col]
-        u = uniforms[pair, 1, col]
-        beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * beta * (hi - lo)
-        children[pair, 0, col] = mid - half
-        children[pair, 1, col] = mid + half
-    np.clip(children, lower, upper, out=children, where=crossed[:, None, None])
+    pair, col = np.nonzero(uniforms[:, 0] <= 0.5)
+    a = parents[pair, 0, col]
+    b = parents[pair, 1, col]
+    u = uniforms[pair, 1, col]
+    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * beta * (hi - lo)
+    children[pair, 0, col] = mid - half
+    children[pair, 1, col] = mid + half
+    np.clip(children, lower, upper, out=children)
     return children
 
 
@@ -241,8 +237,6 @@ def polynomial_mutation(
         mutation_prob = 1.0 / n
     out = x.copy()
     gated = np.nonzero(uniforms[..., 0, :] < mutation_prob)
-    if gated[0].size == 0:
-        return out
     col = gated[-1]
     lower = np.asarray(lower, dtype=float)[col]
     upper = np.asarray(upper, dtype=float)[col]

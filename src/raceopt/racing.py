@@ -208,10 +208,7 @@ class SelectionRace:
 
     def proximity_sum(self) -> float:
         """Sum of |p_hat_i - p_hat_j| over all pairs still racing."""
-        racing = self.racing_indices()
-        if racing.size < 2:
-            return 0.0
-        p = np.sort(self.s[racing] / self.iteration)
+        p = np.sort(self.s[self.racing_indices()] / self.iteration)
         r = p.size
         weights = 2.0 * np.arange(r) - (r - 1)
         return float(np.dot(p, weights))
@@ -469,18 +466,15 @@ def make_selector(
     return Selector(estimator, sampling_budget, race)
 
 
-# SBX pair gate: a pair is crossed when its gate draw is below this.
-_CROSSOVER_PROB = 1.0
-
-
 def _offspring(
     parents: list[Individual], mating: SelectionOutcome, problem: Problem, rng: np.random.Generator
 ) -> list[Individual]:
     """mu offspring from ceil(mu / 2) mating pairs, in two passes.
 
     The draw pass makes every random draw of the generation, pair by pair:
-    two tournaments, the SBX pair gate, the 2n SBX uniforms when the gate
-    fires, then the gate and spread uniforms of each child's mutation. The
+    two tournaments, an SBX pair-gate draw that is never read (every pair
+    is recombined; the draw only keeps the stream), the 2n SBX uniforms,
+    then the gate and spread uniforms of each child's mutation. The
     arithmetic pass runs SBX and mutation once over all pairs. With an odd
     mu the last pair's second child is drawn and mutated, then dropped.
 
@@ -492,17 +486,18 @@ def _offspring(
     mu = len(parents)
     pairs = (mu + 1) // 2
     n = parents[0].genome.size
-    # Per pair: SBX exchange and spread, then (gate, spread) of each child.
-    uniforms = np.empty((pairs, 6, n))
-    mates, crossed = [], []
-    for row in uniforms:
+    # Per pair: the unread gate draw, SBX exchange and spread, then (gate,
+    # spread) of each child's mutation.
+    draws = np.empty((pairs, 1 + 6 * n))
+    mates = []
+    for row in draws:
         mates.append((binary_tournament(mating, rng), binary_tournament(mating, rng)))
-        crossed.append(rng.random() < _CROSSOVER_PROB)
-        rng.random(out=row if crossed[-1] else row[2:])
+        rng.random(out=row)
     mates = np.array(mates)
+    uniforms = draws[:, 1:].reshape(pairs, 6, n)
     lower, upper = problem.lower, problem.upper
     genomes = np.array([parent.genome for parent in parents])[mates]
-    children = sbx_crossover(genomes, lower, upper, np.array(crossed), uniforms[:, :2])
+    children = sbx_crossover(genomes, lower, upper, uniforms[:, :2])
     children = polynomial_mutation(
         children, lower, upper, uniforms[:, 2:].reshape(pairs, 2, 2, n)
     )

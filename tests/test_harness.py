@@ -717,7 +717,8 @@ def test_cli_run_file_missing_a_meta_key_exits_2_naming_file_and_key(tmp_path, c
     path, lines = _written_run(tmp_path)
     summary = tmp_path / "summary.csv"
     for key in ("problem", "noise", "algorithm", "estimator", "sampling_budget",
-                "confidence", "seed", "evaluations"):
+                "confidence", "proximity_threshold", "population_size", "max_evaluations",
+                "max_generations", "seed", "generations", "evaluations"):
         path.write_text("".join(line for line in lines if not line.startswith(f"meta,{key},")))
         assert cli_main(["score", "--in", str(path), "--out", str(summary)]) == 2
         assert f"run.csv: missing meta key '{key}'" in capsys.readouterr().err
@@ -725,6 +726,10 @@ def test_cli_run_file_missing_a_meta_key_exits_2_naming_file_and_key(tmp_path, c
                             for line in lines))
     assert cli_main(["score", "--in", str(path), "--out", str(summary)]) == 2
     assert "run.csv: meta seed must be an integer, got 'one'" in capsys.readouterr().err
+    path.write_text("meta,colour,blue\n" + "".join(lines))
+    assert cli_main(["score", "--in", str(path), "--out", str(summary)]) == 2
+    assert "run.csv: meta key 'colour' is not a run-file key" in capsys.readouterr().err
+    assert not summary.exists()
 
 
 def test_cli_score_rejects_non_finite_values_naming_file_and_culprit(tmp_path, capsys):
@@ -892,6 +897,17 @@ META_EDITS = (
      "meta sampling_budget '7' differs from the canonical 1"),
     ("rsp-med", {"estimator": "mean"},
      "meta estimator 'mean' differs from the canonical 'median'"),
+    ("rsp-i", {"population_size": "-5"}, "meta population_size must be at least 2"),
+    ("rsp-i", {"max_evaluations": "-1"},
+     "meta max_evaluations must cover population initialization"),
+    ("rsp-i", {"proximity_threshold": "nan"}, "meta proximity_threshold must be finite, got 'nan'"),
+    ("rsp-avg", {"proximity_threshold": "0.50"},
+     "meta proximity_threshold '0.50' differs from the canonical 0.5"),
+    ("rsp-i", {"evaluations": "999999"}, "meta evaluations '999999' differs from the canonical"),
+    ("rsp-i", {"generations": "7777"}, "meta generations '7777' differs from the canonical"),
+    ("implicit", {"max_evaluations": "100"}, "meta evaluations 198 exceed max_evaluations 100"),
+    ("rsp-i", {"max_generations": "1"}, "meta generations 7 exceed max_generations 1"),
+    ("implicit", {"population_size": "6"}, "meta population_size 6 differs from the 8 pop rows"),
 )
 
 

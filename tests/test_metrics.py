@@ -178,9 +178,6 @@ def test_hypervolume_matches_the_scalar_sweep_bit_for_bit():
     cases += [rng.random((200, 2)) for _ in range(20)]
     for pts in cases:
         assert hypervolume_2d(pts) == _hypervolume_loop(pts), pts
-    reference = (1.5, 2.5)
-    for pts in cases[:200]:
-        assert hypervolume_2d(pts, reference) == _hypervolume_loop(pts, reference), pts
 
 
 # ---------------------------------------------------------------------------
@@ -327,5 +324,5 @@ def test_fallback_frames_cover_every_problem():
 
 
 def test_fallback_frame_unknown_problem():
-    with pytest.raises(ValueError, match="no fallback frame"):
+    with pytest.raises(ValueError, match="unknown fallback frame: 'zdt9'"):
         fallback_frame("zdt9")

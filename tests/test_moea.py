@@ -322,8 +322,7 @@ def _crossed_children(a, b, lower, upper, rng):
     """Cross every pair, drawing its exchange and spread uniforms from rng."""
     parents = _pairs(a, b)
     uniforms = rng.random((parents.shape[0], 2, parents.shape[-1]))
-    crossed = np.ones(parents.shape[0], dtype=bool)
-    children = sbx_crossover(parents, lower, upper, crossed, uniforms)
+    children = sbx_crossover(parents, lower, upper, uniforms)
     return children[:, 0], children[:, 1]
 
 
@@ -335,13 +334,13 @@ def test_sbx_identical_parents_yield_identical_children():
 
 
 def test_sbx_at_u_half_reproduces_parent_coordinates():
-    # The pair is crossed, exchange draws 0.0 recombine every coordinate,
+    # Exchange draws 0.0 recombine every coordinate,
     # spread u = 0.5 gives beta = 1, so children land exactly on the
     # parents' coordinate-wise min and max.
     a = np.array([0.1, 0.9, 0.5])
     b = np.array([0.7, 0.2, 0.5])
     uniforms = np.array([[np.zeros(3), np.full(3, 0.5)]])
-    children = sbx_crossover(_pairs(a, b), np.zeros(3), np.ones(3), [True], uniforms)
+    children = sbx_crossover(_pairs(a, b), np.zeros(3), np.ones(3), uniforms)
     c1, c2 = children[0]
     np.testing.assert_allclose(c1, np.minimum(a, b), atol=1e-12)
     np.testing.assert_allclose(c2, np.maximum(a, b), atol=1e-12)
@@ -354,18 +353,18 @@ def test_sbx_recombines_a_coordinate_whose_exchange_draw_is_one_half():
     a = np.array([0.1, 0.1])
     b = np.array([0.7, 0.7])
     uniforms = np.array([[[0.5, np.nextafter(0.5, 1.0)], [0.25, 0.25]]])
-    c1, c2 = sbx_crossover(_pairs(a, b), np.zeros(2), np.ones(2), [True], uniforms)[0]
+    c1, c2 = sbx_crossover(_pairs(a, b), np.zeros(2), np.ones(2), uniforms)[0]
     assert 0.1 < c1[0] < c2[0] < 0.7
     assert c1[1] == 0.1 and c2[1] == 0.7
 
 
-def test_sbx_gate_off_returns_parent_copies():
+def test_sbx_without_exchanges_returns_parent_copies():
     a = np.array([0.1, 0.9])
     b = np.array([0.7, 0.2])
     parents = _pairs(a, b)
-    # an uncrossed pair's uniforms are ignored
-    uniforms = np.full((1, 2, 2), np.nan)
-    children = sbx_crossover(parents, np.zeros(2), np.ones(2), [False], uniforms)
+    # every exchange draw exceeds 0.5, so no coordinate is recombined
+    uniforms = np.array([[[np.nextafter(0.5, 1.0), 0.9], [0.25, 0.75]]])
+    children = sbx_crossover(parents, np.zeros(2), np.ones(2), uniforms)
     c1, c2 = children[0]
     np.testing.assert_array_equal(c1, a)
     np.testing.assert_array_equal(c2, b)

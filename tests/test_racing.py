@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from raceopt import core, racing
+from raceopt import core
 from raceopt.core import EstimatorKind, Individual, SampleArchive, estimator_value, make_rng
 from raceopt.moea import (
     SelectionOutcome,
@@ -596,10 +596,10 @@ def test_generation_matches_deterministic_selection_oracle():
     while len(offspring) < 6:
         ia = binary_tournament(mating, replay)
         ib = binary_tournament(mating, replay)
-        crossed = [replay.random() < 1.0]
+        replay.random()  # the pair gate, drawn but never read
         pair = np.stack([parents_b[ia].genome, parents_b[ib].genome])[None]
         children = sbx_crossover(
-            pair, problem.lower, problem.upper, crossed, replay.random((1, 2, n)), 20.0
+            pair, problem.lower, problem.upper, replay.random((1, 2, n)), 20.0
         )
         children = polynomial_mutation(
             children, problem.lower, problem.upper, replay.random((1, 2, 2, n)), 20.0, None
@@ -755,7 +755,7 @@ def _mutate_one(x, lower, upper, eta, mutation_prob, rng):
     return np.where(gate, mutated, x)
 
 
-def _offspring_loop(parents, mating, problem, rng, crossover_prob=1.0):
+def _offspring_loop(parents, mating, problem, rng):
     """The per-pair variation loop of a generation, with its clone rule.
 
     Also returns, per child, which parent of its pair it clones: "a", "b"
@@ -774,7 +774,7 @@ def _offspring_loop(parents, mating, problem, rng, crossover_prob=1.0):
         ia = binary_tournament(mating, rng)
         ib = binary_tournament(mating, rng)
         ca, cb = _sbx_pair(
-            parents[ia].genome, parents[ib].genome, lower, upper, 20.0, crossover_prob, rng
+            parents[ia].genome, parents[ib].genome, lower, upper, 20.0, 1.0, rng
         )
         ca = _mutate_one(ca, lower, upper, 20.0, None, rng)
         cb = _mutate_one(cb, lower, upper, 20.0, None, rng)
@@ -803,24 +803,22 @@ def test_batched_sbx_matches_the_per_pair_reference(name, eta):
     parents[2::9, :, -1] = problem.upper[-1]
     reference = make_rng(91)
     want = np.stack([
-        np.stack(_sbx_pair(a, b, problem.lower, problem.upper, eta, 0.5, reference))
+        np.stack(_sbx_pair(a, b, problem.lower, problem.upper, eta, 1.0, reference))
         for a, b in parents
     ])
-    # the same draws, made ahead of the arithmetic; half the pairs are gate-off rows
+    # the same draws, made ahead of the arithmetic: each pair's gate, which
+    # always fires, then its 2n uniforms
     draws = make_rng(91)
-    crossed = np.zeros(pairs, dtype=bool)
-    uniforms = np.full((pairs, 2, n), np.nan)
+    uniforms = np.empty((pairs, 2, n))
     for p in range(pairs):
-        crossed[p] = draws.random() < 0.5
-        if crossed[p]:
-            draws.random(out=uniforms[p])
-    assert 0 < crossed.sum() < pairs
-    got = sbx_crossover(parents, problem.lower, problem.upper, crossed, uniforms, eta)
+        draws.random()
+        draws.random(out=uniforms[p])
+    got = sbx_crossover(parents, problem.lower, problem.upper, uniforms, eta)
     assert got.tobytes() == want.tobytes()
     assert draws.bit_generator.state == reference.bit_generator.state
     if eta == 1.0:
         clipped = (want == problem.lower) | (want == problem.upper)
-        assert clipped[crossed].any()
+        assert clipped.any()
 
 
 @pytest.mark.parametrize("name", ["zdt1", "zdt4"])
@@ -877,7 +875,7 @@ def _variation_parents(problem, rng, mu):
     return parents
 
 
-def _generation_against_the_loop(problem, mu, seed, crossover_prob=1.0):
+def _generation_against_the_loop(problem, mu, seed):
     """One generation's offspring and the per-pair loop's, from the same
     parents and variation seed; checks the streams end in the same state."""
     setup = make_rng(94, seed)
@@ -894,7 +892,7 @@ def _generation_against_the_loop(problem, mu, seed, crossover_prob=1.0):
     noisy = NoisyProblem(problem, make_noise("none"))
     nsga2_generation(parents, mating, selector, noisy, variation, make_rng(1))
     reference = make_rng(95, seed)
-    want, kinds = _offspring_loop(twins, mating, problem, reference, crossover_prob)
+    want, kinds = _offspring_loop(twins, mating, problem, reference)
     assert variation.bit_generator.state == reference.bit_generator.state
     return parents, selector.pool[mu:], want, kinds
 
@@ -917,14 +915,3 @@ def test_generation_variation_matches_the_per_pair_loop(name, mu):
             assert all(g.archive is not p.archive for p in parents)
     if mu > 2:
         assert {"a", "b", "new"} <= set(kinds)
-
-
-def test_generation_gate_off_pairs_skip_their_sbx_draws(monkeypatch):
-    # At the default crossover probability of 1 every pair is crossed; at
-    # 0.5 the draw pass must skip the SBX uniforms of gate-off pairs as the
-    # per-pair loop does.
-    monkeypatch.setattr(racing, "_CROSSOVER_PROB", 0.5)
-    problem = make_problem("zdt1")
-    for seed in range(5):
-        _, got, want, _ = _generation_against_the_loop(problem, 40, seed, crossover_prob=0.5)
-        assert [g.genome.tobytes() for g in got] == [w.genome.tobytes() for w in want]
