@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Individual, make_rng
+from .core import Population, make_rng
 from .metrics import (
     build_frame,
     delta_hypervolume,
@@ -183,7 +183,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunRecord:
     (counted against the budget). A generation starts only if its exact
     worst-case evaluation demand still fits, so the cap is never
     exceeded: the per-individual sample count for each of the mu offspring
-    and for each parent whose archive is still shorter than that count
+    and for each parent still holding fewer samples than that count
     (such parents are sampled again, see ``nsga2_generation``).
     """
     problem = make_problem(cfg.problem)
@@ -199,11 +199,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunRecord:
     genomes = init_rng.uniform(
         problem.lower, problem.upper, size=(cfg.population_size, problem.n_variables)
     )
-    parents = [Individual(g, f) for g, f in zip(genomes, problem.true_eval(genomes))]
-    for ind in parents:
-        ind.archive.append(noisy.evaluate(ind.objectives))
-    reps = np.vstack([ind.archive.estimate(selector.estimator) for ind in parents])
-    mating = environmental_select(reps, cfg.population_size)
+    parents = Population(genomes, problem.true_eval(genomes))
+    parents.sample(np.arange(cfg.population_size), noisy)
+    mating = environmental_select(parents.estimates(selector.estimator), cfg.population_size)
 
     gen_rows: list[GenRow] = []
     generation = 0
@@ -227,7 +225,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunRecord:
     # Cauchy-corrupted mean does this routinely) and would be credited
     # with impossible hypervolume. These values are measurement, not
     # search, so they bypass the noise model and the budget counter.
-    final_points = np.vstack([ind.objectives for ind in parents])
+    final_points = parents.objectives
     return RunRecord(
         config=cfg,
         seed=seed,
@@ -325,10 +323,12 @@ def _split_run_file(path):
 
     A file whose first non-blank row is not a meta row is not a run file
     (_NotARunFile, a ValueError). In a run file, an unknown or short row, a
-    non-numeric, non-finite or ragged point, or a missing final population
-    raises ConfigError naming the file and the 1-based line.
+    meta key given twice, a non-numeric, non-finite or ragged point, or a
+    missing final population raises ConfigError naming the file and the
+    1-based line.
     """
     meta: dict[str, str] = {}
+    meta_lines: dict[str, int] = {}
     gen_rows: list[tuple[int, list[str]]] = []
     points: list[list[float]] = []
     score: dict[str, str] = {}
@@ -356,7 +356,11 @@ def _split_run_file(path):
                     raise _malformed(path, line, f"bad pop row {','.join(row)!r}")
                 points.append(point)
             elif kind == "meta":
+                if row[1] in meta:
+                    raise _malformed(path, line, f"meta key {row[1]!r} repeats line "
+                                                 f"{meta_lines[row[1]]}")
                 meta[row[1]] = row[2]
+                meta_lines[row[1]] = line
             else:
                 score[row[1]] = row[2]
     if not meta:
@@ -365,12 +369,16 @@ def _split_run_file(path):
         raise _malformed(path, line, "file ends before the final population")
     points = np.asarray(points, dtype=float)
     if not np.isfinite(points).all():
-        # Rare, so the rows are found again only here, not tracked above.
-        with Path(path).open() as handle:
-            rows = [(n, t) for n, t in enumerate(handle, start=1) if t.startswith("pop,")]
-        line, text = rows[int(np.argmin(np.isfinite(points).all(axis=1)))]
-        raise _malformed(path, line, f"non-finite pop row {text.rstrip()!r}")
+        line, text = _pop_rows(path)[int(np.argmin(np.isfinite(points).all(axis=1)))]
+        raise _malformed(path, line, f"non-finite pop row {text!r}")
     return meta, gen_rows, points, score
+
+
+def _pop_rows(path) -> list[tuple[int, str]]:
+    """The pop rows of a file with their 1-based lines. Only an error
+    message needs them, so they are read again then, not tracked."""
+    with Path(path).open() as handle:
+        return [(n, t.rstrip()) for n, t in enumerate(handle, start=1) if t.startswith("pop,")]
 
 
 def read_run_csv(path) -> RunFileData:
@@ -423,8 +431,9 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
     file is a ConfigError when a meta key is missing, unknown, non-numeric
     or non-finite, when ``ExperimentConfig`` rejects a setting, when a meta
     row differs from what its configuration and gen rows write, when its
-    evaluations or generations exceed their caps, or when its pop rows
-    number other than its population size.
+    evaluations or generations exceed their caps, when its pop rows
+    number other than its population size, or when they hold other than
+    one value per objective of its problem.
     """
     root = Path(source)
     if not (root.is_file() or root.is_dir()):
@@ -476,6 +485,11 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
             raise ConfigError(f"{path}: missing meta key {exc.args[0]!r}") from None
         except ConfigError as exc:
             raise ConfigError(f"{path}: meta {exc}") from None
+        width = make_problem(cfg.problem).n_objectives
+        if points.shape[1] != width:
+            line, text = _pop_rows(path)[0]
+            raise _malformed(path, line, f"pop row {text!r} holds {points.shape[1]} values, "
+                                         f"{cfg.problem} has {width} objectives")
         by_cell.setdefault((cfg.problem, cfg.noise), []).append((run, points))
     if not by_cell:
         raise ConfigError(f"no run files found under {source}")

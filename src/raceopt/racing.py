@@ -12,13 +12,16 @@ are provided as baselines behind the same interface.
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EstimatorKind, Individual, estimator_value, lookup
+# estimator_value is unused here; the benchmark's spans still patch it on
+# this module until the benchmark counts what the library owns (ROADMAP
+# item 1), which drops the import.
+from .core import EstimatorKind, Population, estimator_value, estimator_values, lookup  # noqa: F401
 from .moea import (
     SelectionOutcome,
     binary_tournament,
@@ -240,47 +243,52 @@ class RaceResult:
     outcome: SelectionOutcome
 
 
-def bootstrap_draw(archive, rng: np.random.Generator) -> np.ndarray:
-    """One uniform draw, with replacement, from an individual's archive."""
-    rows = archive.as_array()
-    return rows[int(rng.integers(rows.shape[0]))].copy()
+def bootstrap_draw(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One uniform draw, with replacement, from an individual's sample rows
+    (shape (t, k))."""
+    if not len(rows):
+        raise ValueError("empty-archive")
+    return rows[int(rng.integers(len(rows)))].copy()
 
 
-def _representative(ind: Individual, kind: EstimatorKind, rng: np.random.Generator) -> np.ndarray:
-    """Bootstrap representative: estimator over the archive plus one draw.
+def _on_store(select):
+    """Let a selector take its pool as a ``list[Individual]`` too: it then
+    runs on the stacked store, and each new sample is appended to its
+    individual's archive."""
 
-    Mimics a growing sample without spending evaluations. For LAST the
-    representative is the draw itself.
-    """
-    draw = bootstrap_draw(ind.archive, rng)
-    if kind is EstimatorKind.LAST:
-        return draw
-    return estimator_value(np.concatenate((ind.archive.as_array(), draw[None, :])), kind)
+    @functools.wraps(select)
+    def boundary(population, *args, **kwargs):
+        if isinstance(population, Population):
+            return select(population, *args, **kwargs)
+        pool = Population.stack(population)
+        held = pool.counts.tolist()
+        result = select(pool, *args, **kwargs)
+        for ind, start, stop, rows in zip(population, held, pool.counts.tolist(), pool.samples):
+            for row in rows[start:stop]:
+                ind.archive.append(row)
+        return result
+
+    return boundary
 
 
-def _modified(population: list[Individual], count: int) -> np.ndarray:
-    """Bool mask of the individuals sampled as new: those whose archive
-    holds fewer than the per-individual sample ``count``."""
-    return np.fromiter((len(ind.archive) < count for ind in population), dtype=bool,
-                       count=len(population))
-
-
+@_on_store
 def race_select(
-    population: list[Individual],
+    pool: Population,
     mu: int,
     config: RaceConfig,
     noisy: NoisyProblem,
     boot_rng: np.random.Generator,
 ) -> RaceResult:
-    """Choose mu of the population by racing the selection indicators.
+    """Choose mu of the pool by racing the selection indicators.
 
-    Per iteration, every racing individual whose archive held fewer than
-    t_max samples when the race began receives one fresh evaluation
-    (appended to its archive); the others and retired individuals
-    contribute bootstrap representatives instead, so the
-    diversity-aware selection always sees the whole pool. One
-    environmental selection over the representatives yields the indicator
-    vector recorded by the race.
+    Per iteration, every racing row that held fewer than t_max samples
+    when the race began receives one fresh evaluation (appended to its
+    samples); the others and retired rows contribute bootstrap
+    representatives instead (the estimator over their samples plus one
+    draw from them, or the draw itself for LAST), so the diversity-aware
+    selection always sees the whole pool. One environmental selection
+    over the representatives yields the indicator vector recorded by the
+    race.
 
     Stops on a filled selection quota, a filled discard quota (remaining
     racers are selected), estimate proximity below the threshold, or
@@ -289,30 +297,34 @@ def race_select(
     budget cannot cover an iteration beyond the first, the race truncates
     as if t_max were reached.
     """
-    lam = len(population)
+    lam = len(pool)
     if not 1 <= mu < lam:
         raise ValueError(f"mu must be in [1, {lam - 1}], got {mu}")
     race = SelectionRace(lam, mu, config.delta)
-    k = noisy.problem.n_objectives
-    reps = np.zeros((lam, k))
+    pool.reserve(config.t_max)
     evals_before = noisy.evaluations
     outcome: SelectionOutcome | None = None
     stop: StopReason | None = None
     iterations = 0
-    modified = _modified(population, config.t_max)
+    modified = pool.counts < config.t_max
     for it in range(1, config.t_max + 1):
         fresh = modified & (race.status == _RACING)
-        if not noisy.can_afford(int(np.count_nonzero(fresh))):
+        sampled = np.flatnonzero(fresh)
+        if not noisy.can_afford(sampled.size):
             if outcome is None:
                 raise RuntimeError("budget cannot cover the first racing iteration")
             stop = StopReason.T_MAX
             break
-        for i, (ind, sample) in enumerate(zip(population, fresh.tolist())):
-            if sample:
-                ind.archive.append(noisy.evaluate(ind.objectives))
-                reps[i] = ind.archive.estimate(config.estimator)
-            else:
-                reps[i] = _representative(ind, config.estimator, boot_rng)
+        pool.sample(sampled, noisy)
+        drawn = np.flatnonzero(~fresh)
+        if drawn.size:
+            # Each draw goes to the scratch slot past its row's samples.
+            samples, held = pool.samples, pool.counts[drawn]
+            samples[drawn, held] = [
+                bootstrap_draw(samples[i, :t], boot_rng)
+                for i, t in zip(drawn.tolist(), held.tolist())
+            ]
+        reps = estimator_values(pool.samples, pool.counts + ~fresh, config.estimator)
         outcome = environmental_select(reps, mu)
         chosen = np.zeros(lam, dtype=bool)
         chosen[outcome.selected] = True
@@ -347,32 +359,29 @@ def race_select(
     )
 
 
+@_on_store
 def static_select(
-    population: list[Individual],
+    pool: Population,
     mu: int,
     n_samples: int,
     estimator: EstimatorKind,
     noisy: NoisyProblem,
 ) -> RaceResult:
-    """Static resampling: n fresh samples per individual whose archive
-    holds fewer than n, added to its archive, then one environmental
-    selection on the estimator values. An archive left unchanged reuses
-    its estimate from an earlier selection."""
-    lam = len(population)
+    """Static resampling: n fresh samples per row holding fewer than n,
+    added to its samples, then one environmental selection on the
+    estimator values."""
+    lam = len(pool)
     if not 1 <= mu < lam:
         raise ValueError(f"mu must be in [1, {lam - 1}], got {mu}")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     evals_before = noisy.evaluations
-    modified = _modified(population, n_samples)
-    if not noisy.can_afford(n_samples * int(np.count_nonzero(modified))):
+    modified = np.flatnonzero(pool.counts < n_samples)
+    if not noisy.can_afford(n_samples * modified.size):
         raise RuntimeError("budget cannot cover static resampling")
-    for ind in itertools.compress(population, modified):
-        for _ in range(n_samples):
-            ind.archive.append(noisy.evaluate(ind.objectives))
-    outcome = environmental_select(
-        np.array([ind.archive.estimate(estimator) for ind in population]), mu
-    )
+    pool.reserve(n_samples)
+    pool.sample(modified, noisy, n_samples)
+    outcome = environmental_select(pool.estimates(estimator), mu)
     return RaceResult(
         selected=outcome.selected,
         evaluations_used=noisy.evaluations - evals_before,
@@ -428,11 +437,12 @@ class Selector:
             return race_select(population, mu, self.race, noisy, boot_rng)
         return static_select(population, mu, self.worst_evals_per_offspring, self.estimator, noisy)
 
-    def worst_generation_evaluations(self, parents: list[Individual]) -> int:
+    def worst_generation_evaluations(self, parents: Population) -> int:
         """Exact worst case of one generation from these parents: mu
-        offspring plus every parent with a short archive, each sampled as new."""
+        offspring plus every parent holding fewer samples than the count,
+        each sampled as new."""
         count = self.worst_evals_per_offspring
-        return (len(parents) + int(_modified(parents, count).sum())) * count
+        return (len(parents) + int(np.count_nonzero(parents.counts < count))) * count
 
 
 def make_selector(
@@ -467,8 +477,8 @@ def make_selector(
 
 
 def _offspring(
-    parents: list[Individual], mating: SelectionOutcome, problem: Problem, rng: np.random.Generator
-) -> list[Individual]:
+    parents: Population, mating: SelectionOutcome, problem: Problem, rng: np.random.Generator
+) -> Population:
     """mu offspring from ceil(mu / 2) mating pairs, in two passes.
 
     The draw pass makes every random draw of the generation, pair by pair:
@@ -479,13 +489,14 @@ def _offspring(
     mu the last pair's second child is drawn and mutated, then dropped.
 
     A child equal to a parent of its pair (parent a first) is a clone: it
-    inherits that parent's objectives and a copy of its archive, so a clone
-    of a short-archive parent is sampled as new too. The objectives of the
-    other children come from one ``true_eval`` over their genomes.
+    inherits that parent's objectives and a copy of its samples, so a clone
+    of a parent short of samples is sampled as new too. The objectives of
+    the other children come from one ``true_eval`` over their genomes, and
+    they start with no sample.
     """
     mu = len(parents)
     pairs = (mu + 1) // 2
-    n = parents[0].genome.size
+    n = parents.genomes.shape[1]
     # Per pair: the unread gate draw, SBX exchange and spread, then (gate,
     # spread) of each child's mutation.
     draws = np.empty((pairs, 1 + 6 * n))
@@ -496,7 +507,7 @@ def _offspring(
     mates = np.array(mates)
     uniforms = draws[:, 1:].reshape(pairs, 6, n)
     lower, upper = problem.lower, problem.upper
-    genomes = np.array([parent.genome for parent in parents])[mates]
+    genomes = parents.genomes[mates]
     children = sbx_crossover(genomes, lower, upper, uniforms[:, :2])
     children = polynomial_mutation(
         children, lower, upper, uniforms[:, 2:].reshape(pairs, 2, 2, n)
@@ -507,44 +518,45 @@ def _offspring(
     source = np.where(same[..., 0], mates[:, :1], np.where(same[..., 1], mates[:, 1:], -1))
     children = children.reshape(2 * pairs, n)[:mu]
     source = source.ravel()[:mu]
-    new = iter(problem.true_eval(children[source < 0]))
-    return [
-        Individual(genome, next(new)) if i < 0
-        else Individual(genome, parents[i].objectives, parents[i].archive.copy())
-        for genome, i in zip(children, source.tolist())
-    ]
+    new = source < 0
+    # A new child takes the last parent's row as a placeholder, then its own
+    # objectives and no sample.
+    offspring = parents.take(source)
+    offspring.genomes = children
+    offspring.objectives[new] = problem.true_eval(children[new])
+    offspring.counts[new] = 0
+    return offspring
 
 
 def nsga2_generation(
-    parents: list[Individual],
+    parents: Population,
     mating: SelectionOutcome,
     selector: Selector,
     noisy: NoisyProblem,
     variation_rng: np.random.Generator,
     boot_rng: np.random.Generator,
-) -> tuple[list[Individual], SelectionOutcome, RaceResult]:
+) -> tuple[Population, SelectionOutcome, RaceResult]:
     """One (mu + mu) NSGA-II generation under the given selection strategy.
 
     Binary tournaments on the previous selection outcome pick mating
     pairs; SBX plus polynomial mutation produce mu offspring. A parent is
-    spared fresh samples only if its archive already holds the selector's
+    spared fresh samples only if it already holds the selector's
     per-individual sample count; any other parent (say, one evaluated once
     at initialization, or one a race retired after a few samples) is
-    sampled as new, on top of the samples it keeps. The combined pool goes
-    through the selector, and the survivors plus their ranks and crowding
-    distances come back for the next round of tournaments. The worst-case
-    cost is ``selector.worst_generation_evaluations(parents)``.
+    sampled as new, on top of the samples it keeps. The combined pool,
+    parents first, goes through the selector, and the survivors plus their
+    ranks and crowding distances come back for the next round of
+    tournaments. ``parents`` is left as it was. The worst-case cost is
+    ``selector.worst_generation_evaluations(parents)``.
     """
     mu_pop = len(parents)
     if mu_pop < 2:
         raise ValueError("need at least 2 parents")
-    offspring = _offspring(parents, mating, noisy.problem, variation_rng)
-    pool = list(parents) + offspring
+    pool = parents.join(_offspring(parents, mating, noisy.problem, variation_rng))
     result = selector.select(pool, mu_pop, noisy, boot_rng)
-    survivors = [pool[i] for i in result.selected]
     next_mating = SelectionOutcome(
         selected=np.arange(mu_pop),
         rank=result.outcome.rank[result.selected],
         crowding=result.outcome.crowding[result.selected],
     )
-    return survivors, next_mating, result
+    return pool.take(result.selected), next_mating, result

@@ -977,3 +977,27 @@ def test_every_registry_resolves_any_case_and_names_unknown_entries_alike(
         with pytest.raises(ValueError) as draw:
             NoiseModel(unknown).draw(2, make_rng(0))
         assert type(draw.value) is ValueError and str(draw.value) == message
+
+
+def test_cli_score_names_both_lines_of_a_repeated_meta_key(tmp_path, capsys):
+    # An earlier meta,seed,99 row must not be silently overridden by the real one.
+    path, lines = _written_run(tmp_path)
+    seed = _first_line(lines, "meta,seed")
+    path.write_text("".join(lines[:1] + ["meta,seed,99\n"] + lines[1:]))
+    summary = tmp_path / "summary.csv"
+    assert cli_main(["score", "--in", str(path), "--out", str(summary)]) == 2
+    assert f"run.csv, line {seed + 2}: meta key 'seed' repeats line 2" in capsys.readouterr().err
+    assert not summary.exists()
+
+
+def test_cli_score_names_the_first_pop_line_of_rows_wider_than_the_problem(tmp_path, capsys):
+    path, lines = _written_run(tmp_path)
+    pop = _first_line(lines, "pop")
+    path.write_text("".join(line.rstrip("\n") + ",0.5\n" if line.startswith("pop,") else line
+                            for line in lines))
+    summary = tmp_path / "summary.csv"
+    assert cli_main(["score", "--in", str(path), "--out", str(summary)]) == 2
+    err = capsys.readouterr().err
+    assert f"run.csv, line {pop + 1}: pop row '{lines[pop].rstrip()},0.5' holds 3 values" in err
+    assert "zdt1 has 2 objectives" in err
+    assert not summary.exists()

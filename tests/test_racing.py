@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from raceopt import core
-from raceopt.core import EstimatorKind, Individual, SampleArchive, estimator_value, make_rng
+from raceopt import racing
+from raceopt.core import (
+    EstimatorKind,
+    Individual,
+    Population,
+    SampleArchive,
+    estimator_value,
+    make_rng,
+)
 from raceopt.moea import (
     SelectionOutcome,
     binary_tournament,
@@ -14,6 +21,7 @@ from raceopt.moea import (
     polynomial_mutation,
     sbx_crossover,
 )
+from raceopt.harness import ExperimentConfig, run_experiment
 from raceopt.problems import NoisyProblem, Problem, make_noise, make_problem
 from raceopt.racing import (
     ALGORITHM_IDS,
@@ -249,24 +257,24 @@ def test_vectorised_decide_matches_the_index_order_loop():
 
 
 def test_bootstrap_single_row_archive_is_deterministic():
-    arch = SampleArchive([(3.0, 4.0)])
+    rows = np.array([(3.0, 4.0)])
     rng = make_rng(50)
     for _ in range(10):
-        np.testing.assert_array_equal(bootstrap_draw(arch, rng), [3.0, 4.0])
+        np.testing.assert_array_equal(bootstrap_draw(rows, rng), [3.0, 4.0])
 
 
 def test_bootstrap_draw_frequencies_are_uniform():
-    arch = SampleArchive([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
+    rows = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
     rng = make_rng(51)
     counts = np.zeros(4)
     for _ in range(100_000):
-        counts[int(bootstrap_draw(arch, rng)[0])] += 1
+        counts[int(bootstrap_draw(rows, rng)[0])] += 1
     np.testing.assert_allclose(counts / 100_000, 0.25, atol=0.01)
 
 
 def test_bootstrap_empty_archive_fails():
     with pytest.raises(ValueError, match="empty-archive"):
-        bootstrap_draw(SampleArchive(), make_rng(52))
+        bootstrap_draw(np.empty((0, 2)), make_rng(52))
 
 
 # ---------------------------------------------------------------------------
@@ -432,30 +440,35 @@ def test_static_samples_exactly_the_archives_short_of_the_sample_count():
     assert res.evaluations_used == noisy.evaluations == 2 * n
 
 
-def test_static_reuses_the_estimates_of_unchanged_archives(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("kind", list(EstimatorKind), ids=[k.value for k in EstimatorKind])
+def test_static_judges_full_archives_by_exact_estimates_at_no_cost(monkeypatch, kind):
+    judged = []
 
-    def counted(samples, kind):
-        calls.append(len(samples))
-        return estimator_value(samples, kind)
+    def recorded(points, mu):
+        judged.append(np.array(points))
+        return environmental_select(points, mu)
 
-    monkeypatch.setattr(core, "estimator_value", counted)
-    pop = _pop([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
-    noisy = NoisyProblem(_plane(), make_noise("gaussian"), make_rng(20))
-    first = static_select(pop, 1, 3, EstimatorKind.MEDIAN, noisy)
-    assert calls == [3, 3, 3]
-    # every archive now holds the sample count: no sample, no estimate
-    second = static_select(pop, 1, 3, EstimatorKind.MEDIAN, noisy)
-    assert calls == [3, 3, 3]
-    assert second.evaluations_used == 0
+    monkeypatch.setattr(racing, "environmental_select", recorded)
+    pop = _pop([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (0.5, 1.5)])
+    noisy = NoisyProblem(_plane(), make_noise("cauchy"), make_rng(20))
+    first = static_select(pop, 2, 4, kind, noisy)
+    # every archive now holds the sample count: the second selection
+    # evaluates nothing and judges the same estimates
+    second = static_select(pop, 2, 4, kind, noisy)
+    assert (first.evaluations_used, second.evaluations_used) == (16, 0)
+    assert noisy.evaluations == 16
     assert second.selected.tolist() == first.selected.tolist()
+    want = np.array([estimator_value(ind.archive.as_array(), kind) for ind in pop])
+    for points in judged:
+        assert points.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_worst_generation_counts_parents_short_by_one_sample():
-    parents = _pop([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
-    for ind, rows in zip(parents, (2, 3, 4)):
+    pop = _pop([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+    for ind, rows in zip(pop, (2, 3, 4)):
         for _ in range(rows):
             ind.archive.append(ind.genome)
+    parents = Population.stack(pop)
     # three offspring plus the one parent holding fewer than 3 samples
     assert make_selector("static-avg", 3).worst_generation_evaluations(parents) == 4 * 3
     assert make_selector("rsp-i", 4, 0.5).worst_generation_evaluations(parents) == 5 * 4
@@ -542,11 +555,12 @@ def test_selector_parameter_validation():
 # one full generation
 
 
-def _fresh_parents(problem, noisy, rng, mu):
+def _fresh_parents(problem, noisy, rng, mu, samples=1):
+    """mu random parents, each evaluated ``samples`` times, parent by parent."""
     genomes = _random_genomes(problem, rng, mu)
-    parents = [Individual(g, f) for g, f in zip(genomes, problem.true_eval(genomes))]
-    for ind in parents:
-        ind.archive.append(noisy.evaluate(ind.objectives))
+    parents = Population(genomes, problem.true_eval(genomes))
+    parents.reserve(samples)
+    parents.sample(np.arange(mu), noisy, samples)
     return parents
 
 
@@ -555,9 +569,8 @@ def test_generation_produces_mu_survivors_with_fresh_metadata():
     noisy = NoisyProblem(problem, make_noise("none"))
     rng = make_rng(60)
     parents = _fresh_parents(problem, noisy, rng, 8)
-    reps = np.vstack([p.archive.estimate(EstimatorKind.LAST) for p in parents])
-    mating = environmental_select(reps, 8)
-    selector = make_selector("implicit")
+    mating = environmental_select(parents.estimates(EstimatorKind.LAST), 8)
+    selector = _PoolRecorder(make_selector("implicit"))
     survivors, next_mating, result = nsga2_generation(
         parents, mating, selector, noisy, make_rng(61), make_rng(63)
     )
@@ -566,7 +579,8 @@ def test_generation_produces_mu_survivors_with_fresh_metadata():
     assert next_mating.crowding.shape == (8,)
     assert result.selected.size == 8
     # each parent already held its one sample, so none was sampled again
-    assert all(len(p.archive) == 1 for p in parents)
+    assert selector.pool.counts[:8].tolist() == [1] * 8
+    assert (survivors.counts == 1).all()
 
 
 def test_generation_matches_deterministic_selection_oracle():
@@ -576,13 +590,12 @@ def test_generation_matches_deterministic_selection_oracle():
     problem = make_problem("zdt1")
     noise = make_noise("none")
     noisy_a = NoisyProblem(problem, noise)
-    parents_a = _fresh_parents(problem, noisy_a, make_rng(65), 6)
-    parents_b = [Individual(p.genome.copy(), p.objectives, p.archive.copy()) for p in parents_a]
-    reps = np.vstack([p.archive.estimate(EstimatorKind.LAST) for p in parents_a])
-    mating = environmental_select(reps, 6)
+    parents = _fresh_parents(problem, noisy_a, make_rng(65), 6)
+    genomes = parents.genomes.copy()
+    mating = environmental_select(parents.estimates(EstimatorKind.LAST), 6)
 
     survivors, _, result = nsga2_generation(
-        parents_a,
+        parents,
         mating,
         make_selector("implicit"),
         noisy_a,
@@ -597,7 +610,7 @@ def test_generation_matches_deterministic_selection_oracle():
         ia = binary_tournament(mating, replay)
         ib = binary_tournament(mating, replay)
         replay.random()  # the pair gate, drawn but never read
-        pair = np.stack([parents_b[ia].genome, parents_b[ib].genome])[None]
+        pair = np.stack([genomes[ia], genomes[ib]])[None]
         children = sbx_crossover(
             pair, problem.lower, problem.upper, replay.random((1, 2, n)), 20.0
         )
@@ -608,13 +621,14 @@ def test_generation_matches_deterministic_selection_oracle():
         offspring.append(ca)
         if len(offspring) < 6:
             offspring.append(cb)
-    pool_genomes = [p.genome for p in parents_b] + offspring
+    pool_genomes = list(genomes) + offspring
     true_points = np.vstack([problem.true_eval(g) for g in pool_genomes])
     oracle = environmental_select(true_points, 6)
     assert result.selected.tolist() == oracle.selected.tolist()
     survivor_genomes = [pool_genomes[i] for i in oracle.selected]
-    for got, want in zip(survivors, survivor_genomes):
-        np.testing.assert_array_equal(got.genome, want)
+    np.testing.assert_array_equal(survivors.genomes, survivor_genomes)
+    # the generation leaves its parents as they were
+    np.testing.assert_array_equal(parents.genomes, genomes)
 
 
 def test_generation_evaluation_cost_is_bounded_by_the_race_cap():
@@ -623,26 +637,25 @@ def test_generation_evaluation_cost_is_bounded_by_the_race_cap():
     t_max = 6
     parents = _fresh_parents(problem, noisy, make_rng(70), 10)
     # half the parents already hold t_max samples, half hold one
-    for parent in parents[:5]:
-        for _ in range(t_max - 1):
-            parent.archive.append(noisy.evaluate(parent.objectives))
-    reps = np.vstack([p.archive.estimate(EstimatorKind.MEDIAN) for p in parents])
-    mating = environmental_select(reps, 10)
+    parents.reserve(t_max)
+    parents.sample(np.arange(5), noisy, t_max - 1)
+    mating = environmental_select(parents.estimates(EstimatorKind.MEDIAN), 10)
     before = noisy.evaluations
     selector = make_selector("rsp-med", sampling_budget=t_max, confidence=0.25)
     reserved = selector.worst_generation_evaluations(parents)
     assert reserved == (10 + 5) * t_max
+    recorder = _PoolRecorder(selector)
     _, _, result = nsga2_generation(
-        parents, mating, selector, noisy, make_rng(71), make_rng(73)
+        parents, mating, recorder, noisy, make_rng(71), make_rng(73)
     )
     spent = noisy.evaluations - before
     assert spent == result.evaluations_used
     # mu offspring plus the short parents are sampled, each at most t_max times
     assert spent <= reserved
     # a parent that already holds t_max samples gains none
-    assert [len(p.archive) for p in parents[:5]] == [t_max] * 5
+    assert recorder.pool.counts[:5].tolist() == [t_max] * 5
     # a parent short of t_max is sampled in at least the first iteration
-    assert all(len(p.archive) > 1 for p in parents[5:])
+    assert (recorder.pool.counts[5:10] > 1).all()
 
 
 def test_static_generation_samples_one_sample_parents_up_to_the_budget():
@@ -651,15 +664,14 @@ def test_static_generation_samples_one_sample_parents_up_to_the_budget():
     problem = make_problem("zdt1")
     noisy = NoisyProblem(problem, make_noise("cauchy"), make_rng(76))
     parents = _fresh_parents(problem, noisy, make_rng(74), 10)
-    reps = np.vstack([p.archive.estimate(EstimatorKind.MEDIAN) for p in parents])
-    mating = environmental_select(reps, 10)
-    selector = make_selector("static-med", sampling_budget=5)
+    mating = environmental_select(parents.estimates(EstimatorKind.MEDIAN), 10)
+    selector = _PoolRecorder(make_selector("static-med", sampling_budget=5))
     before = noisy.evaluations
     survivors, _, result = nsga2_generation(
         parents, mating, selector, noisy, make_rng(75), make_rng(77)
     )
-    assert all(len(ind.archive) >= 5 for ind in survivors)
-    assert all(len(p.archive) == 1 + 5 for p in parents)
+    assert (survivors.counts >= 5).all()
+    assert selector.pool.counts[:10].tolist() == [1 + 5] * 10
     assert noisy.evaluations - before == result.evaluations_used == (10 + 10) * 5
 
 
@@ -667,12 +679,8 @@ def test_race_survivor_with_a_short_archive_is_sampled_again():
     problem = make_problem("zdt1")
     noisy = NoisyProblem(problem, make_noise("none"))
     t_max = 8
-    parents = _fresh_parents(problem, noisy, make_rng(78), 10)
-    for parent in parents:
-        for _ in range(t_max - 1):
-            parent.archive.append(noisy.evaluate(parent.objectives))
-    reps = np.vstack([p.archive.estimate(EstimatorKind.MEDIAN) for p in parents])
-    mating = environmental_select(reps, 10)
+    parents = _fresh_parents(problem, noisy, make_rng(78), 10, samples=t_max)
+    mating = environmental_select(parents.estimates(EstimatorKind.MEDIAN), 10)
     selector = make_selector("rsp-med", sampling_budget=t_max, confidence=0.25)
     streams = [make_rng(79), make_rng(81)]
     # Without noise the first race retires individuals early, so some
@@ -681,18 +689,20 @@ def test_race_survivor_with_a_short_archive_is_sampled_again():
         parents, mating, selector, noisy, *streams
     )
     assert first.iterations < t_max
-    lengths = [len(ind.archive) for ind in survivors]
+    lengths = survivors.counts.tolist()
     short = [i for i, n in enumerate(lengths) if n < t_max]
     full = [i for i, n in enumerate(lengths) if n >= t_max]
     assert short and full
     before = noisy.evaluations
     assert selector.worst_generation_evaluations(survivors) == (10 + len(short)) * t_max
-    _, _, second = nsga2_generation(survivors, mating, selector, noisy, *streams)
+    recorder = _PoolRecorder(selector)
+    _, _, second = nsga2_generation(survivors, mating, recorder, noisy, *streams)
     assert noisy.evaluations - before == second.evaluations_used
+    gained = recorder.pool.counts[:10]
     for i in short:
-        assert len(survivors[i].archive) > lengths[i]
+        assert gained[i] > lengths[i]
     for i in full:
-        assert len(survivors[i].archive) == lengths[i]
+        assert gained[i] == lengths[i]
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +776,8 @@ def _offspring_loop(parents, mating, problem, rng):
     def child(genome, pair):
         for parent, kind in zip(pair, "ab"):
             if np.array_equal(genome, parent.genome):
-                return Individual(genome.copy(), parent.objectives, parent.archive.copy()), kind
+                archive = SampleArchive(parent.archive.as_array())
+                return Individual(genome.copy(), parent.objectives, archive), kind
         return Individual(genome, problem.true_eval(genome), SampleArchive()), "new"
 
     offspring, kinds = [], []
@@ -848,12 +859,18 @@ def test_batched_mutation_matches_the_per_pair_reference(name, mutation_prob):
 
 
 class _PoolRecorder:
-    """Stand-in selector: keeps the pool it is given and the first mu of it."""
+    """Keeps the pool it is given and selects with ``selector``; without
+    one it keeps the first mu of the pool."""
 
     pool = None
 
+    def __init__(self, selector=None):
+        self.selector = selector
+
     def select(self, pool, mu, noisy, boot_rng):
         self.pool = pool
+        if self.selector is not None:
+            return self.selector.select(pool, mu, noisy, boot_rng)
         outcome = environmental_select(np.zeros((len(pool), 2)), mu)
         return RaceResult(np.arange(mu), 0, 1, None, outcome)
 
@@ -887,14 +904,14 @@ def _generation_against_the_loop(problem, mu, seed):
         crowding=setup.choice([0.5, 1.0, np.inf], size=mu),
     )
     selector = _PoolRecorder()
-    twins = [Individual(p.genome.copy(), p.objectives, p.archive.copy()) for p in parents]
+    store = Population.stack(parents)
     variation = make_rng(95, seed)
     noisy = NoisyProblem(problem, make_noise("none"))
-    nsga2_generation(parents, mating, selector, noisy, variation, make_rng(1))
+    nsga2_generation(store, mating, selector, noisy, variation, make_rng(1))
     reference = make_rng(95, seed)
-    want, kinds = _offspring_loop(twins, mating, problem, reference)
+    want, kinds = _offspring_loop(parents, mating, problem, reference)
     assert variation.bit_generator.state == reference.bit_generator.state
-    return parents, selector.pool[mu:], want, kinds
+    return store, selector.pool.take(np.arange(mu, 2 * mu)), want, kinds
 
 
 @pytest.mark.parametrize("name", ["zdt1", "zdt4"])
@@ -906,12 +923,111 @@ def test_generation_variation_matches_the_per_pair_loop(name, mu):
         parents, got, want, seed_kinds = _generation_against_the_loop(problem, mu, seed)
         kinds += seed_kinds
         assert len(got) == len(want) == mu
-        for g, w in zip(got, want):
-            assert g.genome.tobytes() == w.genome.tobytes()
-            assert g.objectives.tobytes() == w.objectives.tobytes()
-            assert len(g.archive) == len(w.archive)
+        for j, w in enumerate(want):
+            assert got.genomes[j].tobytes() == w.genome.tobytes()
+            assert got.objectives[j].tobytes() == w.objectives.tobytes()
+            assert got.counts[j] == len(w.archive)
             if len(w.archive):
-                assert g.archive.as_array().tobytes() == w.archive.as_array().tobytes()
-            assert all(g.archive is not p.archive for p in parents)
+                assert got.samples[j, : len(w.archive)].tobytes() == w.archive.as_array().tobytes()
+        # each clone holds a copy of its parent's samples
+        assert not np.shares_memory(got.samples, parents.samples)
     if mu > 2:
         assert {"a", "b", "new"} <= set(kinds)
+
+
+# ---------------------------------------------------------------------------
+# the race's sample contract: one evaluate call per evaluation, one
+# bootstrap_draw call per other slot, representatives equal to the
+# archive estimator over archive and draw
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind), ids=[k.value for k in EstimatorKind])
+def test_race_iterations_fill_every_slot_with_one_sample_or_one_draw(monkeypatch, kind):
+    points = make_rng(120).uniform(-1.0, 1.0, size=(8, 2))
+    pop = _pop(points)
+    # rows 0-2 hold t_max samples and are never sampled; the others are short
+    t_max = 5
+    setup = make_rng(121)
+    for i, ind in enumerate(pop):
+        for _ in range(t_max if i < 3 else i % 3):
+            ind.archive.append(points[i] + setup.normal(size=2))
+    archives = [ind.archive.as_array().copy() if len(ind.archive) else np.empty((0, 2))
+                for ind in pop]
+    row_of = {p.tobytes(): i for i, p in enumerate(points)}
+    iterations = []  # per iteration: (evaluated rows and samples, draws)
+    evaluate = NoisyProblem.evaluate
+
+    def counted_evaluate(self, objectives):
+        sample = evaluate(self, objectives)
+        iterations[-1][0].append((row_of[np.asarray(objectives).tobytes()], sample))
+        return sample
+
+    def counted_draw(rows, rng):
+        draw = bootstrap_draw(rows, rng)
+        iterations[-1][1].append((np.array(rows), draw))
+        return draw
+
+    def judged(reps, mu):
+        fresh, draws = iterations[-1]
+        # An end-of-race fill-in judges the racers again without a new slot.
+        if fresh or draws:
+            assert len(fresh) + len(draws) == len(pop) == len(reps)
+            evaluated = [i for i, _ in fresh]
+            assert evaluated == sorted(evaluated) and min(evaluated) >= 3
+            for i, sample in fresh:
+                archives[i] = np.vstack([archives[i], sample])
+            others = [i for i in range(len(pop)) if i not in evaluated]
+            want = np.empty_like(reps)
+            for i in evaluated:
+                want[i] = estimator_value(archives[i], kind)
+            for i, (rows, draw) in zip(others, draws):
+                assert rows.tobytes() == archives[i].tobytes()
+                want[i] = estimator_value(np.vstack([archives[i], draw]), kind)
+            assert reps.view(np.int64).tolist() == want.view(np.int64).tolist()
+            iterations.append(([], []))
+        return environmental_select(reps, mu)
+
+    monkeypatch.setattr(NoisyProblem, "evaluate", counted_evaluate)
+    monkeypatch.setattr(racing, "bootstrap_draw", counted_draw)
+    monkeypatch.setattr(racing, "environmental_select", judged)
+    noisy = NoisyProblem(_plane(), make_noise("cauchy"), make_rng(122))
+    iterations.append(([], []))
+    res = race_select(pop, 4, RaceConfig(0.5, t_max, 0.0, kind), noisy, make_rng(123))
+    iterations = iterations[:res.iterations]
+    assert res.iterations >= 3
+    assert sum(len(fresh) for fresh, _ in iterations) == res.evaluations_used == noisy.evaluations
+    # the list boundary hands every new sample back to its archive
+    for ind, rows in zip(pop, archives):
+        assert ind.archive.as_array().tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["rsp-i", "rsp-avg", "rsp-med"])
+def test_run_race_slots_and_evaluations_reconcile(monkeypatch, algorithm):
+    calls = {"evaluate": 0, "draw": 0, "slots": 0, "iterations": 0}
+    evaluate, record = NoisyProblem.evaluate, SelectionRace.record
+
+    def counted_evaluate(self, objectives):
+        calls["evaluate"] += 1
+        return evaluate(self, objectives)
+
+    def counted_draw(rows, rng):
+        calls["draw"] += 1
+        return bootstrap_draw(rows, rng)
+
+    def counted_record(self, chosen):
+        # every pool slot got one fresh sample or one draw since the last record
+        calls["slots"] += self.size
+        calls["iterations"] += 1
+        return record(self, chosen)
+
+    monkeypatch.setattr(NoisyProblem, "evaluate", counted_evaluate)
+    monkeypatch.setattr(racing, "bootstrap_draw", counted_draw)
+    monkeypatch.setattr(SelectionRace, "record", counted_record)
+    cfg = ExperimentConfig("zdt1", "gaussian", algorithm, 4, 0.25, population_size=8,
+                           max_evaluations=400)
+    record_ = run_experiment(cfg, 3)
+    assert calls["evaluate"] == record_.evaluations
+    assert calls["iterations"] == sum(row.race_length for row in record_.gen_rows)
+    # the initial population's evaluations happen outside any race
+    in_race = record_.evaluations - cfg.population_size
+    assert in_race + calls["draw"] == calls["slots"]
