@@ -6,7 +6,8 @@ every workload, N pairs of ``perfbench/run.py --trace 0`` runs alternate
 which side goes first (even pairs parent first). With ``--traced`` each
 side then makes one ``--trace 1`` run of each workload named there. The
 result file holds every run's value, and per metric and workload the
-medians, quartiles and how many pairs the change won.
+medians, quartiles and how many pairs the change won, and the line count
+of ``src/raceopt/*.py`` on each side.
 
 Run from anywhere, e.g.:
 
@@ -45,6 +46,12 @@ def export(rev: str, dest: Path) -> str:
     dest.mkdir(parents=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
     return commit
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of ``src/raceopt/*.py`` in ``checkout``, counted as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "raceopt").glob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
@@ -158,6 +165,7 @@ def main(argv=None) -> int:
                       "pairs alternate which side runs first; medians and quartiles over "
                       "the per-run values, each a median over that run's passes",
             "parent_commit": parent_commit,
+            "src_lines": {side: src_lines(path) for side, path in sides.items()},
             "workloads": {w: _pairs(sides, w, args) for w in args.workloads},
             "traced": {
                 w: {side: run_once(path, w, args.seed, True)

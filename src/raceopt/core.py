@@ -3,7 +3,6 @@ estimators, reproducible RNG."""
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,57 +90,40 @@ def estimator_values(samples: np.ndarray, counts: np.ndarray, kind: EstimatorKin
     raise ValueError(f"unknown estimator: {kind!r}")
 
 
-# Rows an archive holds before its buffer first grows.
-_INITIAL_ROWS = 8
-
-
 class SampleArchive:
-    """Append-only store of objective samples for one individual.
-
-    The rows live in one preallocated float buffer that doubles when it
-    fills; ``as_array`` is a read-only view of the rows written so far.
-    Every row is finite and all rows have the same length.
+    """Append-only list of one individual's objective samples: finite rows,
+    all of one length, each copied in. Only the ``list[Individual]``
+    boundary of ``race_select`` and ``static_select`` reads or writes one.
     """
 
-    __slots__ = ("_buffer", "_count")
+    __slots__ = ("_rows",)
 
-    def __init__(self, rows=None) -> None:
-        self._buffer: np.ndarray | None = None
-        self._count = 0
-        if rows is not None:
-            for row in rows:
-                self.append(row)
+    def __init__(self, rows=()) -> None:
+        self._rows: list[np.ndarray] = []
+        for row in rows:
+            self.append(row)
 
     def append(self, point) -> None:
-        row = np.asarray(point, dtype=float)
+        # A copy: the selectors' boundary passes row views of their store.
+        row = np.array(point, dtype=float)
         if row.ndim != 1 or row.size == 0:
             raise ValueError("objective point must be a non-empty 1-d array")
-        # Python floats: cheaper than a numpy reduction over a short row.
-        if not all(map(math.isfinite, row.tolist())):
+        if not np.isfinite(row).all():
             raise ValueError(f"objective point must be finite, got {row.tolist()}")
-        buffer = self._buffer
-        if buffer is None:
-            buffer = self._buffer = np.empty((_INITIAL_ROWS, row.size))
-        elif row.size != buffer.shape[1]:
-            raise ValueError(
-                f"objective point has {row.size} values, the archive holds {buffer.shape[1]}"
-            )
-        elif self._count == buffer.shape[0]:
-            grown = np.empty((2 * self._count, row.size))
-            grown[: self._count] = buffer
-            buffer = self._buffer = grown
-        buffer[self._count] = row
-        self._count += 1
+        if self._rows and row.size != self._rows[0].size:
+            raise ValueError(f"objective point has {row.size} values, "
+                             f"the archive holds {self._rows[0].size}")
+        self._rows.append(row)
 
     def as_array(self) -> np.ndarray:
-        if not self._count:
+        if not self._rows:
             raise ValueError("empty-archive")
-        rows = self._buffer[: self._count]
+        rows = np.array(self._rows)
         rows.flags.writeable = False
         return rows
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._rows)
 
 
 @dataclass

@@ -383,13 +383,18 @@ def _pop_rows(path) -> list[tuple[int, str]]:
 
 def read_run_csv(path) -> RunFileData:
     meta, gen_fields, points, score = _split_run_file(path)
-    gen_rows = []
+    gen_rows, spent = [], 0
     for line, row in gen_fields:
         try:
             reason = _REASON_BY_TALLY[tuple(row[3:7])]
-            gen_rows.append(GenRow(int(row[1]), int(row[2]), reason, int(row[7])))
+            gen = GenRow(int(row[1]), int(row[2]), reason, int(row[7]))
         except (KeyError, ValueError):
             raise _malformed(path, line, f"malformed gen row {','.join(row)!r}") from None
+        if gen.generation != len(gen_rows) + 1 or gen.cumulative_evaluations < spent:
+            raise _malformed(path, line, f"gen row {','.join(row)!r} does not follow "
+                                         f"generation {len(gen_rows)} at {spent} evaluations")
+        gen_rows.append(gen)
+        spent = gen.cumulative_evaluations
     return RunFileData(meta=meta, gen_rows=gen_rows, points=points, score=score)
 
 

@@ -259,14 +259,8 @@ class NoisyProblem:
         self._rows: list[np.ndarray | None] = []
         self._next = 0
 
-    @property
-    def remaining(self) -> int | None:
-        if self.max_evaluations is None:
-            return None
-        return self.max_evaluations - self.evaluations
-
     def can_afford(self, count: int) -> bool:
-        return self.remaining is None or self.remaining >= count
+        return self.max_evaluations is None or self.evaluations + count <= self.max_evaluations
 
     def evaluate(self, objectives: np.ndarray) -> np.ndarray:
         """One noisy observation of the true ``objectives`` of a genome.
@@ -281,7 +275,8 @@ class NoisyProblem:
             raise ValueError(
                 f"evaluate expects {k} objective values, got shape {np.shape(objectives)}"
             )
-        if not self.can_afford(1):
+        # The counter never passes the cap, so reaching it means spent.
+        if self.evaluations == self.max_evaluations:
             raise RuntimeError("evaluation budget exhausted")
         self.evaluations += 1
         for _ in range(_REDRAW_CAP):

@@ -105,11 +105,11 @@ class SelectionRace:
     and lam_rem racers, an individual is selected once its lower bound
     beats the upper bound of at least lam_rem - mu_rem racing peers, and
     discarded once its upper bound is beaten by the lower bound of at
-    least mu_rem racing peers. Decisions are evaluated in population-index
-    order and re-applied until nothing changes; nothing is decided while
-    lam_rem == mu_rem (a full quota of discards, handled by the caller)
-    or mu_rem == 0 (race over). Every racer's lower bound is at most its
-    upper bound.
+    least mu_rem racing peers. One sweep in population-index order reaches
+    the fixed point, since a decision never makes an undecided racer
+    decidable (``_decide`` proves it); nothing is decided while lam_rem ==
+    mu_rem (a full quota of discards, handled by the caller) or mu_rem == 0
+    (race over). Every racer's lower bound is at most its upper bound.
     """
 
     def __init__(self, size: int, mu: int, delta: float) -> None:

@@ -47,3 +47,14 @@ def test_summary_rejects_unpaired_runs_and_unknown_directions():
         bench_pairs.summarize([], [], "lower")
     with pytest.raises(ValueError):
         bench_pairs.summarize([1.0], [1.0], "faster")
+
+
+def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "raceopt"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub" / "c.py").write_text("not\ncounted\n")
+    assert bench_pairs.src_lines(tmp_path) == 2
+    assert bench_pairs.src_lines(Path(__file__).resolve().parent.parent) > 0

@@ -120,6 +120,17 @@ def test_archive_as_array_is_read_only():
     np.testing.assert_array_equal(arch.as_array(), [[1.0, 2.0], [3.0, 4.0]])
 
 
+def test_archive_append_copies_its_input():
+    # Selectors append row views of their sample store, which they go on
+    # writing; the archive must keep the values as they were appended.
+    store = np.array([[1.0, 2.0], [3.0, 4.0]])
+    arch = SampleArchive()
+    for row in store:
+        arch.append(row)
+    store[:] = 9.0
+    np.testing.assert_array_equal(arch.as_array(), [[1.0, 2.0], [3.0, 4.0]])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_archive_rejects_a_non_finite_point(bad):
     arch = SampleArchive([(1.0, 2.0)])

@@ -222,9 +222,12 @@ def test_read_run_csv_names_file_and_line_of_a_row_cut_short(tmp_path):
 
 def test_read_run_csv_names_file_and_line_of_a_non_numeric_field(tmp_path):
     path, lines = _written_run(tmp_path)
-    # (kind, rows after its first, replacement); the last is a point wider
-    # than the one before it.
+    # (kind, rows after its first, replacement); the third and fourth
+    # follow generation 1 with generation 9, and with a generation 2 that
+    # spent fewer evaluations than the population; the last is a point
+    # wider than the one before it.
     cases = (("gen", 0, "gen,1,x,0,0,0,1,3\n"), ("gen", 0, "gen,1,60,0,2,0,0,3\n"),
+             ("gen", 1, "gen,9,60,0,0,0,1,3\n"), ("gen", 1, "gen,2,0,0,0,0,1,3\n"),
              ("pop", 0, "pop,0.5,abc\n"), ("pop", 1, "pop,0.5,0.5,0.5\n"))
     for kind, offset, broken in cases:
         row = _first_line(lines, kind) + offset

@@ -350,20 +350,24 @@ def test_evaluation_counter_and_budget():
     p = make_problem("zdt1")
     noisy = NoisyProblem(p, make_noise("none"), max_evaluations=3)
     f = p.true_eval(np.full(30, 0.5))
-    assert noisy.remaining == 3
+    assert noisy.evaluations == 0
     assert noisy.can_afford(3)
     assert not noisy.can_afford(4)
     for i in range(3):
         noisy.evaluate(f)
         assert noisy.evaluations == i + 1
-    assert noisy.remaining == 0
+    assert not noisy.can_afford(1)
+    assert noisy.can_afford(0)
     with pytest.raises(RuntimeError, match="budget exhausted"):
         noisy.evaluate(f)
 
 
 def test_unlimited_budget():
     noisy = NoisyProblem(make_problem("zdt1"), make_noise("none"))
-    assert noisy.remaining is None
+    assert noisy.max_evaluations is None
+    assert noisy.can_afford(10**9)
+    noisy.evaluate(np.zeros(2))
+    assert noisy.evaluations == 1
     assert noisy.can_afford(10**9)
 
 
