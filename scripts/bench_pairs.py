@@ -6,8 +6,9 @@ every workload, N pairs of ``perfbench/run.py --trace 0`` runs alternate
 which side goes first (even pairs parent first). With ``--traced`` each
 side then makes one ``--trace 1`` run of each workload named there. The
 result file holds every run's value, and per metric and workload the
-medians, quartiles and how many pairs the change won, and the line count
-of ``src/raceopt/*.py`` on each side.
+medians, quartiles, how many pairs the change won and a verdict, and the
+line count of ``src/raceopt/*.py`` on each side. The verdicts are also
+printed as each workload finishes.
 
 Run from anywhere, e.g.:
 
@@ -91,6 +92,12 @@ def summarize(parent: list[float], change: list[float], better: str,
     the change's median in the worse direction (negative: it got better),
     and the gap counts only when the change's median is the better one and
     lies further from the parent's than the parent's interquartile range.
+
+    ``verdict`` is the first that holds of: "gain", the change won at least
+    9 pairs in 10 and the gap counts; "worse", ``worse_by`` is above
+    ``bound``; "unresolved", the parent's interquartile range is more than
+    ``bound`` of its median and some change run does not beat every parent
+    run; "flat". Without a bound only "gain" and "flat" are given.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same, non-zero number of parent and change runs")
@@ -101,14 +108,25 @@ def summarize(parent: list[float], change: list[float], better: str,
     wins = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
     iqr = p["q3"] - p["q1"]
     gap = sign * (p["median"] - c["median"])
+    worse_by = sign * (c["median"] - p["median"]) / p["median"] if p["median"] else None
+    beats_all = all(sign * (b - a) < 0 for a in parent for b in change)
+    if 10 * wins >= 9 * len(parent) and gap > iqr:
+        verdict = "gain"
+    elif bound is not None and worse_by is not None and worse_by > bound:
+        verdict = "worse"
+    elif bound is not None and iqr > bound * abs(p["median"]) and not beats_all:
+        verdict = "unresolved"
+    else:
+        verdict = "flat"
     return {
         "parent": p,
         "change": c,
         "change_wins": f"{wins}/{len(parent)}",
-        "worse_by": sign * (c["median"] - p["median"]) / p["median"] if p["median"] else None,
+        "worse_by": worse_by,
         "bound": bound,
         "parent_iqr": iqr,
         "gap_exceeds_parent_iqr": gap > iqr,
+        "verdict": verdict,
     }
 
 
@@ -125,6 +143,16 @@ def _pairs(sides: dict, workload: str, args) -> dict:
             file=sys.stderr, flush=True)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     all_runs = runs["parent"] + runs["change"]
+    metrics = {
+        m["name"]: summarize([run["metrics"][m["name"]] for run in runs["parent"]],
+                             [run["metrics"][m["name"]] for run in runs["change"]],
+                             m["better"], m["bound"])
+        for m in spec["end_to_end"]
+    }
+    for name, s in metrics.items():
+        print(f"{workload} {name}: {s['verdict']} (median {s['parent']['median']} -> "
+              f"{s['change']['median']}, change won {s['change_wins']})",
+              file=sys.stderr, flush=True)
     return {
         "seed": args.seed,
         "pairs": args.pairs,
@@ -134,12 +162,7 @@ def _pairs(sides: dict, workload: str, args) -> dict:
         "attempted": {side: sum(run["attempted"] for run in runs[side]) for side in runs},
         "output_sha256": sorted({sha for run in all_runs for sha in run["output_sha256"]}),
         "failures": sorted({line for run in all_runs for line in run["failures"]}),
-        "metrics": {
-            m["name"]: summarize([run["metrics"][m["name"]] for run in runs["parent"]],
-                                 [run["metrics"][m["name"]] for run in runs["change"]],
-                                 m["better"], m["bound"])
-            for m in spec["end_to_end"]
-        },
+        "metrics": metrics,
     }
 
 

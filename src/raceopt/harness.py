@@ -13,6 +13,7 @@ import itertools
 import math
 import operator
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -292,110 +293,117 @@ def write_run_csv(record: RunRecord, path) -> None:
 @dataclass
 class RunFileData:
     meta: dict[str, str]
-    gen_rows: list[GenRow]
+    gens: np.ndarray  # (G, 7) int64: generation, cumulative evaluations, 4 tallies, race length
     points: np.ndarray
     score: dict[str, str]
 
-
-# Stop-reason tallies as written (one-hot in _STOP_TALLY_ORDER, all zero
-# when no race ran), mapped back to the reason.
-_REASON_BY_TALLY = {
-    tuple("1" if name == reason else "0" for name in _STOP_TALLY_ORDER): reason
-    for reason in ("", *_STOP_TALLY_ORDER)
-}
-
-# Fields per record kind; a pop row holds at least two objective values.
-_ROW_WIDTH = {"meta": 3, "gen": 8, "pop": 3, "score": 3}
+    @property
+    def gen_rows(self) -> list[GenRow]:
+        return [GenRow(g, spent, _STOP_TALLY_ORDER[t.index(1)] if 1 in t else "", length)
+                for g, spent, *t, length in self.gens.tolist()]
 
 
 class _NotARunFile(ValueError):
-    """A file that does not start with meta rows: not a damaged run file
-    but some other file, such as a summary table."""
+    """A file not starting with meta rows: some other file, such as a summary table."""
 
 
 def _malformed(path, line: int, what: str) -> ConfigError:
     return ConfigError(f"{path}, line {line}: {what}")
 
 
-def _split_run_file(path):
-    """Split a run file into its meta map, its gen rows as (line number,
-    fields) still unparsed, its final points and its score map.
-
-    A file whose first non-blank row is not a meta row is not a run file
-    (_NotARunFile, a ValueError). In a run file, an unknown or short row, a
-    meta key given twice, a non-numeric, non-finite or ragged point, or a
-    missing final population raises ConfigError naming the file and the
-    1-based line.
-    """
-    meta: dict[str, str] = {}
-    meta_lines: dict[str, int] = {}
-    gen_rows: list[tuple[int, list[str]]] = []
-    points: list[list[float]] = []
-    score: dict[str, str] = {}
-    line = 0
-    with Path(path).open() as handle:
-        for line, text in enumerate(handle, start=1):
-            row = text.rstrip("\n").split(",")
-            kind = row[0]
-            if kind not in _ROW_WIDTH or (not meta and kind != "meta"):
-                if not text.strip():
-                    continue
-                if not meta:
-                    raise _NotARunFile(f"{path} is not a run file")
-                raise _malformed(path, line, f"unknown record kind {kind!r}")
-            if len(row) < _ROW_WIDTH[kind]:
-                raise _malformed(path, line, f"short {kind} row {','.join(row)!r}")
-            if kind == "gen":
-                gen_rows.append((line, row))
-            elif kind == "pop":
-                try:
-                    point = [float(v) for v in row[1:]]
-                except ValueError:
-                    point = None
-                if point is None or (points and len(point) != len(points[0])):
-                    raise _malformed(path, line, f"bad pop row {','.join(row)!r}")
-                points.append(point)
-            elif kind == "meta":
-                if row[1] in meta:
-                    raise _malformed(path, line, f"meta key {row[1]!r} repeats line "
-                                                 f"{meta_lines[row[1]]}")
-                meta[row[1]] = row[2]
-                meta_lines[row[1]] = line
-            else:
-                score[row[1]] = row[2]
-    if not meta:
-        raise _NotARunFile(f"{path} is not a run file")
-    if not points:
-        raise _malformed(path, line, "file ends before the final population")
-    points = np.asarray(points, dtype=float)
-    if not np.isfinite(points).all():
-        line, text = _pop_rows(path)[int(np.argmin(np.isfinite(points).all(axis=1)))]
-        raise _malformed(path, line, f"non-finite pop row {text!r}")
-    return meta, gen_rows, points, score
+def _line(text: str, kind: str, index: int = 0) -> tuple[int, str]:
+    """The 1-based line and the text of row ``index`` of the ``kind`` section (errors only)."""
+    number = text.count("\n", 0, text.find(f"\n{kind},")) + 2 + index
+    return number, text.split("\n")[number - 1]
 
 
-def _pop_rows(path) -> list[tuple[int, str]]:
-    """The pop rows of a file with their 1-based lines. Only an error
-    message needs them, so they are read again then, not tracked."""
-    with Path(path).open() as handle:
-        return [(n, t.rstrip()) for n, t in enumerate(handle, start=1) if t.startswith("pop,")]
+def _rows(path, text: str, start: int, end: int, kind: str, commas: int):
+    """Each row of ``text[start:end]`` with its line; one of another kind or width is refused."""
+    rows = text[start:end].split("\n") if end > start else []
+    for line, row in enumerate(rows, start=text.count("\n", 0, start) + 1):
+        found = row.partition(",")[0]
+        if found != kind or row.count(",") != commas:
+            size = "short" if row.count(",") < commas else "long"
+            raise _malformed(path, line, f"{found!r} row {row!r} among the {kind} rows"
+                             if found != kind else f"{size} {kind} row {row!r}")
+        yield line, row
+
+
+def _table(path, text: str, start: int, end: int, kind: str) -> dict[str, str]:
+    """The ``kind,key,value`` rows of ``text[start:end]`` as a map; a repeated key is refused."""
+    table, lines = {}, {}
+    for line, row in _rows(path, text, start, end, kind, 2):
+        _, key, value = row.split(",")
+        if key in lines:
+            raise _malformed(path, line, f"{kind} key {key!r} repeats line {lines[key]}")
+        table[key], lines[key] = value, line
+    return table
+
+
+# Fields are matched first: np.fromstring reads "-" or a blank as a number, drops a trailing
+# empty field and, in numpy 1.x, stops at a bad field without raising; the value count catches
+# that. Gen fields are integers of at most 18 digits and one-hot or all-zero tallies.
+_GEN_FIELDS = ",[0-9]{1,18}" * 2 + ",(?:0,0,0,0|1,0,0,0|0,1,0,0|0,0,1,0|0,0,0,1),[0-9]{1,18}"
+
+
+def _numbers(fields: str, dtype, count: int) -> np.ndarray | None:
+    """The numbers in comma-separated ``fields``, or None unless there are ``count`` of them."""
+    try:
+        values = np.fromstring(fields, dtype, sep=",")
+    except ValueError:
+        return None
+    return values if values.size == count else None
+
+
+def _array(path, text: str, start: int, end: int, kind: str, fields: str, dtype, width: int):
+    """The ``kind`` rows of ``text[start:end]``, matched to ``fields`` and parsed in one piece,
+    then copied: np.fromstring shrinks a 32 KB buffer in place, and kept results fragment the
+    heap. If that fails, the rows are read one by one to name the first at fault."""
+    section, pattern = text[start:end], kind + fields
+    count = (section.count("\n") + 1) * width if section else 0
+    if not section or re.fullmatch(rf"{pattern}(?:\n{pattern})*", section):
+        values = _numbers(section[len(kind) + 1:].replace(f"\n{kind},", ","), dtype, count)
+        if values is not None and np.isfinite(values).all():
+            return values.reshape(-1, width).copy()
+    for line, row in _rows(path, text, start, end, kind, width):
+        values = _numbers(row[len(kind) + 1:], dtype, width) if re.fullmatch(pattern, row) else None
+        if values is None or not np.isfinite(values).all():
+            what = "malformed" if values is None else "non-finite"
+            raise _malformed(path, line, f"{what} {kind} row {row!r}")
 
 
 def read_run_csv(path) -> RunFileData:
-    meta, gen_fields, points, score = _split_run_file(path)
-    gen_rows, spent = [], 0
-    for line, row in gen_fields:
-        try:
-            reason = _REASON_BY_TALLY[tuple(row[3:7])]
-            gen = GenRow(int(row[1]), int(row[2]), reason, int(row[7]))
-        except (KeyError, ValueError):
-            raise _malformed(path, line, f"malformed gen row {','.join(row)!r}") from None
-        if gen.generation != len(gen_rows) + 1 or gen.cumulative_evaluations < spent:
-            raise _malformed(path, line, f"gen row {','.join(row)!r} does not follow "
-                                         f"generation {len(gen_rows)} at {spent} evaluations")
-        gen_rows.append(gen)
-        spent = gen.cumulative_evaluations
-    return RunFileData(meta=meta, gen_rows=gen_rows, points=points, score=score)
+    """Read a run file: meta, gen, pop and score rows, in ``write_run_csv``'s order. A file
+    whose first non-blank row is not a meta row is not a run file (_NotARunFile). A row out of
+    its section or malformed, a repeated key, gen rows not numbered 1, 2, ... or whose
+    evaluations fall, or no final population is a ConfigError naming the file and line."""
+    with Path(path).open() as handle:
+        text = handle.read().removesuffix("\n")
+    if not text.lstrip().startswith("meta,"):
+        raise _NotARunFile(f"{path} is not a run file")
+
+    def start(kind: str, end: int) -> int:  # the newline before the first ``kind`` row, else end
+        at = text.find(f"\n{kind},", 0, end)
+        return end if at < 0 else at
+
+    # Each section runs to the next kind's first row. A kind whose first row follows a later
+    # kind's gets an empty section, so its rows fail inside the later kind's section.
+    score = start("score", len(text))
+    pop = start("pop", score)
+    gen = start("gen", pop)
+    meta = _table(path, text, 0, gen, "meta")
+    gens = _array(path, text, gen + 1, pop, "gen", _GEN_FIELDS, np.int64, 7)
+    before = np.concatenate(([0], gens[:-1, 1]))
+    bad = np.flatnonzero((gens[:, 0] != np.arange(1, len(gens) + 1)) | (gens[:, 1] < before))
+    if len(bad):
+        line, row = _line(text, "gen", bad[0])
+        raise _malformed(path, line, f"gen row {row!r} does not follow generation {bad[0]} "
+                                     f"at {before[bad[0]]} evaluations")
+    width = max(2, text[pop + 1:score].partition("\n")[0].count(","))
+    points = _array(path, text, pop + 1, score, "pop", r",[^,\s]+" * width, float, width)
+    if not len(points):
+        raise _malformed(path, text.count("\n") + 1, "file ends before the final population")
+    return RunFileData(meta, gens, points, _table(path, text, score + 1, len(text), "score"))
 
 
 SUMMARY_COLUMNS = (
@@ -433,12 +441,12 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
     algorithm variants within a cell, paired by common seeds (at least 5
     required for a row). ``source`` is one run file or a directory whose
     ``.csv`` files are scanned; other files found there are skipped. A run
-    file is a ConfigError when a meta key is missing, unknown, non-numeric
-    or non-finite, when ``ExperimentConfig`` rejects a setting, when a meta
-    row differs from what its configuration and gen rows write, when its
-    evaluations or generations exceed their caps, when its pop rows
-    number other than its population size, or when they hold other than
-    one value per objective of its problem.
+    file is a ConfigError when ``read_run_csv`` refuses it, when a meta key
+    is missing, unknown, non-numeric or non-finite, when ``ExperimentConfig``
+    rejects a setting, when a meta row differs from what its configuration
+    and gen rows write, when its evaluations or generations exceed their
+    caps, when its pop rows number other than its population size, or when
+    they hold other than one value per objective of its problem.
     """
     root = Path(source)
     if not (root.is_file() or root.is_dir()):
@@ -446,11 +454,12 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
     by_cell: dict[tuple[str, str], list[tuple[tuple, np.ndarray]]] = {}
     for path in [root] if root.is_file() else sorted(root.rglob("*.csv")):
         try:
-            meta, gen_rows, points, _ = _split_run_file(path)
+            data = read_run_csv(path)
         except _NotARunFile:
             if path == root:
                 raise
             continue  # a scanned directory may hold other tables, such as a summary
+        meta, gens, points = data.meta, data.gens, data.points
         try:
             max_generations = meta["max_generations"]
             cfg = ExperimentConfig(
@@ -464,10 +473,9 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
                 max_generations=(_number("max_generations", max_generations, int)
                                  if max_generations else None),
             )
-            # A run has spent its last generation's evaluations, or its
-            # initial population's when no generation ran.
-            spent = gen_rows[-1][1][2] if gen_rows else cfg.population_size
-            written = _run_meta(cfg, cfg.seeds[0], len(gen_rows), spent)
+            # A run spent its last generation's evaluations, or its population's if none ran.
+            spent = int(gens[-1, 1]) if len(gens) else cfg.population_size
+            written = _run_meta(cfg, cfg.seeds[0], len(gens), spent)
             # Every meta row must be the one its configuration and gen rows write.
             for key in meta:
                 if key not in written:
@@ -475,9 +483,8 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
             for key, value in written.items():
                 if meta[key] != ("" if value is None else str(value)):
                     raise ConfigError(f"{key} {meta[key]!r} differs from the canonical {value!r}")
-            evaluations = _number("evaluations", meta["evaluations"], int)
-            for key, count, cap in (("evaluations", evaluations, cfg.max_evaluations),
-                                    ("generations", len(gen_rows), cfg.max_generations)):
+            for key, count, cap in (("evaluations", spent, cfg.max_evaluations),
+                                    ("generations", len(gens), cfg.max_generations)):
                 if cap is not None and count > cap:
                     raise ConfigError(f"{key} {count} exceed max_{key} {cap}")
             if points.shape[0] != cfg.population_size:
@@ -485,15 +492,15 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
                                   f"{points.shape[0]} pop rows")
             # The summary columns from algorithm to evaluations, delta_hv left out.
             run = (cfg.algorithm, cfg.estimator, cfg.sampling_budget, cfg.confidence,
-                   cfg.seeds[0], evaluations)
+                   cfg.seeds[0], spent)
         except KeyError as exc:
             raise ConfigError(f"{path}: missing meta key {exc.args[0]!r}") from None
         except ConfigError as exc:
             raise ConfigError(f"{path}: meta {exc}") from None
         width = make_problem(cfg.problem).n_objectives
         if points.shape[1] != width:
-            line, text = _pop_rows(path)[0]
-            raise _malformed(path, line, f"pop row {text!r} holds {points.shape[1]} values, "
+            line, row = _line(Path(path).read_text(), "pop")
+            raise _malformed(path, line, f"pop row {row!r} holds {points.shape[1]} values, "
                                          f"{cfg.problem} has {width} objectives")
         by_cell.setdefault((cfg.problem, cfg.noise), []).append((run, points))
     if not by_cell:
@@ -545,7 +552,7 @@ def run_batch(configs, out_dir, jobs: int = 1) -> tuple[Path, Path]:
     pairwise significance table in ``out_dir``. Failed runs are recorded
     in ``out_dir/failures.csv`` and excluded from scoring instead of
     aborting the batch. At most ``jobs`` worker processes run, and no more
-    than there are runs or CPUs. Returns (summary_path, significance_path).
+    than there are runs or CPUs it may run on. Returns (summary_path, significance_path).
 
     A repeated (config, seed) pair runs once; two different runs that
     would write the same run file are a ConfigError naming the file.
@@ -565,7 +572,8 @@ def run_batch(configs, out_dir, jobs: int = 1) -> tuple[Path, Path]:
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(cfg, seed, str(runs_dir / name)) for name, (cfg, seed) in runs.items()]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(tasks), cpus or 1)
     if workers > 1:
         cfgs, seeds, paths = zip(*tasks)
         with ProcessPoolExecutor(max_workers=workers) as pool:

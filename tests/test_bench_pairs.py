@@ -58,3 +58,33 @@ def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
     (package / "sub" / "c.py").write_text("not\ncounted\n")
     assert bench_pairs.src_lines(tmp_path) == 2
     assert bench_pairs.src_lines(Path(__file__).resolve().parent.parent) > 0
+
+
+_TIGHT = [10.0, 10.1, 9.9, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0, 10.0]
+_WIDE = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+_SKEWED = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 5.0, 6.0, 7.0]
+# (parent runs, change runs, better, the verdict at bound 0.25)
+VERDICTS = {
+    "gain": (_TIGHT, [v - 2.0 for v in _TIGHT], "lower", "gain"),
+    "gain-higher": (_TIGHT, [v + 2.0 for v in _TIGHT], "higher", "gain"),
+    "worse": (_TIGHT, [v * 1.5 for v in _TIGHT], "lower", "worse"),
+    "worse-despite-a-wide-parent": (_WIDE, [v * 2.0 for v in _WIDE], "lower", "worse"),
+    "unresolved": (_WIDE, _WIDE[::-1], "lower", "unresolved"),
+    "flat": (_TIGHT, _TIGHT[::-1], "lower", "flat"),
+    # The parent's spread is 2x its median, but every change run beats every parent run;
+    # the medians are closer than the parent's quartiles, so it is no gain either.
+    "flat-when-every-change-run-wins": (_SKEWED, [0.9] * 10, "lower", "flat"),
+    # 8 wins in 10, each by far more than the parent's spread: not a gain.
+    "flat-at-8-of-10": (_TIGHT, [v - 2.0 for v in _TIGHT[:8]] + _TIGHT[8:], "lower", "flat"),
+}
+
+
+@pytest.mark.parametrize("parent, change, better, verdict", VERDICTS.values(), ids=VERDICTS)
+def test_each_metric_gets_the_verdict_its_runs_support(parent, change, better, verdict):
+    assert bench_pairs.summarize(parent, change, better, 0.25)["verdict"] == verdict
+
+
+def test_without_a_bound_only_a_gain_is_judged():
+    assert bench_pairs.summarize(_TIGHT, [v * 1.5 for v in _TIGHT], "lower")["verdict"] == "flat"
+    assert bench_pairs.summarize(_WIDE, _WIDE[::-1], "lower")["verdict"] == "flat"
+    assert bench_pairs.summarize(_TIGHT, [v - 2 for v in _TIGHT], "lower")["verdict"] == "gain"

@@ -174,24 +174,25 @@ def test_identical_runs_are_bit_identical(tmp_path):
 
 
 def test_run_csv_roundtrip(tmp_path):
-    cfg = _tiny("static-avg", noise="gaussian", sampling_budget=2, max_evaluations=100)
-    record = run_experiment(cfg, seed=5)
-    path = tmp_path / "run.csv"
-    write_run_csv(record, path)
-    data = read_run_csv(path)
-    assert data.meta["problem"] == "zdt1"
-    assert data.meta["algorithm"] == "static-avg"
-    assert int(data.meta["seed"]) == 5
-    assert int(data.meta["evaluations"]) == record.evaluations
-    assert int(data.meta["generations"]) == len(record.gen_rows)
-    np.testing.assert_array_equal(data.points, record.final_points)
-    assert [r.stop_reason for r in data.gen_rows] == [
-        r.stop_reason for r in record.gen_rows
-    ]
-    assert data.score["frame"] == "fallback"
-    assert float(data.score["delta_hv"]) == pytest.approx(
-        float(data.score["hv_front"]) - float(data.score["hv_solution"])
-    )
+    for cfg in (_tiny("static-avg", noise="gaussian", sampling_budget=2, max_evaluations=100),
+                _tiny("rsp-avg", noise="gaussian", sampling_budget=3, confidence=0.25)):
+        record = run_experiment(cfg, seed=5)
+        path = tmp_path / "run.csv"
+        write_run_csv(record, path)
+        data = read_run_csv(path)
+        assert data.meta["problem"] == "zdt1"
+        assert data.meta["algorithm"] == cfg.algorithm
+        assert int(data.meta["seed"]) == 5
+        assert int(data.meta["evaluations"]) == record.evaluations
+        assert int(data.meta["generations"]) == len(record.gen_rows)
+        assert data.points.shape == record.final_points.shape
+        assert data.points.tobytes() == record.final_points.tobytes()
+        assert data.gen_rows == record.gen_rows
+        assert data.score["frame"] == "fallback"
+        assert float(data.score["delta_hv"]) == pytest.approx(
+            float(data.score["hv_front"]) - float(data.score["hv_solution"])
+        )
+    assert {row.stop_reason for row in data.gen_rows} - {""}
 
 
 def test_read_run_csv_rejects_foreign_files(tmp_path):
@@ -220,19 +221,62 @@ def test_read_run_csv_names_file_and_line_of_a_row_cut_short(tmp_path):
         read_run_csv(path)
 
 
-def test_read_run_csv_names_file_and_line_of_a_non_numeric_field(tmp_path):
+def test_read_run_csv_names_file_and_line_of_a_non_numeric_field(tmp_path, capsys):
     path, lines = _written_run(tmp_path)
-    # (kind, rows after its first, replacement); the third and fourth
-    # follow generation 1 with generation 9, and with a generation 2 that
-    # spent fewer evaluations than the population; the last is a point
-    # wider than the one before it.
-    cases = (("gen", 0, "gen,1,x,0,0,0,1,3\n"), ("gen", 0, "gen,1,60,0,2,0,0,3\n"),
-             ("gen", 1, "gen,9,60,0,0,0,1,3\n"), ("gen", 1, "gen,2,0,0,0,0,1,3\n"),
-             ("pop", 0, "pop,0.5,abc\n"), ("pop", 1, "pop,0.5,0.5,0.5\n"))
-    for kind, offset, broken in cases:
-        row = _first_line(lines, kind) + offset
-        path.write_text("".join(lines[:row] + [broken] + lines[row + 1:]))
-        with pytest.raises(ConfigError, match=rf"run\.csv, line {row + 1}: "):
+    gen, pop, score = (_first_line(lines, kind) for kind in ("gen", "pop", "score"))
+    delta_hv = _first_line(lines, "score,delta_hv")
+
+    def replaced(row, text):
+        return lines[:row] + [text] + lines[row + 1:], f"line {row + 1}: "
+
+    # (the damaged file's lines, what the error names). The third and fourth follow
+    # generation 1 with generation 9, and with a generation 2 that spent fewer evaluations
+    # than the population; the sixth is a point wider than the one before it, and the
+    # seventh a blank value; the eighth holds a count int64 cannot hold and the ninth ends in
+    # a comma; the tenth moves the gen rows after the pop rows; the last gives a score key
+    # twice, the first time before the real row.
+    cases = (replaced(gen, "gen,1,x,0,0,0,1,3\n"), replaced(gen, "gen,1,60,0,2,0,0,3\n"),
+             replaced(gen + 1, "gen,9,60,0,0,0,1,3\n"), replaced(gen + 1, "gen,2,0,0,0,0,1,3\n"),
+             replaced(pop, "pop,0.5,abc\n"), replaced(pop + 1, "pop,0.5,0.5,0.5\n"),
+             replaced(pop + 2, "pop,0.5, \n"),
+             replaced(gen + 1, "gen,2,99999999999999999999,0,0,0,1,3\n"),
+             replaced(gen, lines[gen].rstrip("\n") + ",\n"),
+             (lines[:gen] + lines[pop:score] + lines[gen:pop] + lines[score:],
+              f"line {gen + score - pop + 1}: 'gen' row"),
+             (lines[:score] + ["score,delta_hv,-5.0\n"] + lines[score:],
+              f"line {delta_hv + 2}: score key 'delta_hv' repeats line {score + 1}"))
+    summary = tmp_path / "summary.csv"
+    for damaged, named in cases:
+        path.write_text("".join(damaged))
+        with pytest.raises(ConfigError, match=re.escape(f"run.csv, {named}")):
+            read_run_csv(path)
+        # score reads run files through the same reader.
+        assert cli_main(["score", "--in", str(path), "--out", str(summary)]) == 2
+        assert f"run.csv, {named}" in capsys.readouterr().err
+    assert not summary.exists()
+
+
+def test_read_run_csv_counts_values_where_fromstring_stops_at_a_bad_field(tmp_path, monkeypatch):
+    # numpy 1.x np.fromstring returns the values read before a bad field, with only a warning.
+    def stops_at_a_bad_field(text, dtype, sep):
+        values = []
+        for field in text.split(sep):
+            try:
+                values.append(dtype(field))
+            except ValueError:
+                break
+        return np.array(values, dtype)
+
+    path, lines = _written_run(tmp_path)
+    clean = read_run_csv(path)
+    monkeypatch.setattr(harness.np, "fromstring", stops_at_a_bad_field)
+    data = read_run_csv(path)
+    assert data.gen_rows == clean.gen_rows and data.points.tobytes() == clean.points.tobytes()
+    pop = _first_line(lines, "pop")
+    # Two rows in, the values before the bad field fill whole rows: a truncated population.
+    for row, text in ((pop, "pop,0.5,abc\n"), (pop + 2, "pop,abc,0.5\n")):
+        path.write_text("".join(lines[:row] + [text] + lines[row + 1:]))
+        with pytest.raises(ConfigError, match=rf"run\.csv, line {row + 1}: malformed pop row"):
             read_run_csv(path)
 
 
@@ -356,7 +400,15 @@ class _RecordingPool:
 def test_batch_pool_is_bounded_by_jobs_runs_and_cpus(tmp_path, monkeypatch,
                                                       jobs, seeds, cpus, expected):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        # No affinity call on the platform and an unknown CPU count: one worker.
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    else:
+        # The CPUs this process may run on, not the machine's count, bound the pool.
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     run_batch([_tiny(max_evaluations=30, seeds=seeds)], tmp_path, jobs=jobs)
     assert _RecordingPool.sizes == expected
