@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .harness import (
-    DEFAULT_POPULATION,
-    DEFAULT_PROXIMITY,
+    SETTINGS,
     ConfigError,
     ExperimentConfig,
     algorithm_settings,
@@ -29,16 +29,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="execute a single seeded run and write its CSV")
-    run.add_argument("--problem", required=True)
-    run.add_argument("--noise", required=True)
-    run.add_argument("--algo", required=True)
-    run.add_argument("--budget", type=int, help="sampling budget (static n / racing t_max)")
-    run.add_argument("--confidence", type=float, help="racing confidence in (0, 1)")
-    run.add_argument("--proximity", type=float, default=DEFAULT_PROXIMITY)
-    run.add_argument("--pop", type=int, default=DEFAULT_POPULATION)
-    run.add_argument("--evals", type=int, help="evaluation cap (default 100000; 500000 for zdt6)")
-    run.add_argument("--max-generations", type=int, dest="max_generations")
+    # A flag left out is left out of the namespace, so its setting takes its config default.
+    run = sub.add_parser("run", help="execute a single seeded run and write its CSV",
+                         argument_default=argparse.SUPPRESS)
+    for field in fields(ExperimentConfig):
+        if field.name in SETTINGS:
+            flag, _, kind, text = SETTINGS[field.name]
+            run.add_argument(flag, dest=field.name, type=kind, help=text,
+                             required=field.default is MISSING)
     run.add_argument("--seed", type=int, required=True)
     run.add_argument("--out", required=True)
 
@@ -59,24 +57,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    algo = canonical_algorithm(args.algo)
-    takes = algorithm_settings(algo)
-    for setting in ("budget", "confidence"):
-        if (setting in takes) != (getattr(args, setting) is not None):
-            rule = "is required for" if setting in takes else "does not apply to"
-            raise ConfigError(f"--{setting} {rule} algorithm {algo!r}")
-    cfg = ExperimentConfig(
-        problem=args.problem,
-        noise=args.noise,
-        algorithm=algo,
-        sampling_budget=args.budget,
-        confidence=args.confidence,
-        proximity_threshold=args.proximity,
-        population_size=args.pop,
-        max_evaluations=args.evals,
-        seeds=(args.seed,),
-        max_generations=args.max_generations,
-    )
+    given = {field: value for field, value in vars(args).items() if field in SETTINGS}
+    algo = canonical_algorithm(args.algorithm)
+    # An algorithm names the settings it takes by their flags without the dashes.
+    for field in ("sampling_budget", "confidence"):
+        flag = SETTINGS[field].flag
+        if (flag[2:] in algorithm_settings(algo)) != (field in given):
+            rule = "does not apply to" if field in given else "is required for"
+            raise ConfigError(f"{flag} {rule} algorithm {algo!r}")
+    cfg = ExperimentConfig(**given, seeds=(args.seed,))
     record = run_experiment(cfg, args.seed)
     write_run_csv(record, args.out)
     print(f"wrote {args.out} ({record.evaluations} evaluations, "

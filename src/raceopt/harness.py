@@ -14,6 +14,7 @@ import math
 import operator
 import os
 import re
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -62,7 +63,15 @@ def _finite(key: str, text: str) -> float:
     return value
 
 
-DEFAULT_POPULATION = 100
+def _integer(key: str, value) -> int:
+    """An integer setting as an int; 2.9, inf or "3" is a ConfigError naming its key, where
+    int() would truncate, overflow or parse it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
 DEFAULT_RUNS = 25
 
 # Substream labels under the run seed.
@@ -90,16 +99,40 @@ def canonical_algorithm(name) -> str:
     return algorithm
 
 
+# How each ExperimentConfig field but seeds is spelled outside the config: its ``raceopt run``
+# flag, grid key and type, and the flag's --help text. Its run-file meta key is its field name.
+Setting = namedtuple("Setting", "flag grid kind help", defaults=[None])
+SETTINGS = {
+    "problem": Setting("--problem", "problems", str),
+    "noise": Setting("--noise", "noises", str),
+    "algorithm": Setting("--algo", "algorithms", str),
+    "sampling_budget": Setting("--budget", "budgets", int,
+                               "sampling budget (static n / racing t_max)"),
+    "confidence": Setting("--confidence", "confidences", float, "racing confidence in (0, 1)"),
+    "proximity_threshold": Setting("--proximity", "proximity", float),
+    "population_size": Setting("--pop", "population", int),
+    "max_evaluations": Setting("--evals", "evaluations", int,
+                               "evaluation cap (default 100000; 500000 for zdt6)"),
+    "max_generations": Setting("--max-generations", "max_generations", int),
+}
+# A grid sweeps comma lists of the first five settings; its other keys are scalars.
+_SWEPT = 5
+_GRID_KEYS = [setting.grid for setting in SETTINGS.values()] + ["master_seed", "runs"]
+# The meta rows of the settings, with the derived estimator after the algorithm.
+_META_SETTINGS = (*list(SETTINGS)[:3], "estimator", *list(SETTINGS)[3:])
+
+
 @dataclass(unsafe_hash=True)
 class ExperimentConfig:
     """One cell of the experiment grid plus its seeds.
 
     Construction canonicalizes: a setting the algorithm does not take is
     pinned (sampling_budget to 1, confidence to 0), and ``make_selector``
-    checks the others. The estimator is derived from the algorithm and is
-    not a setting. Canonical form makes equality and hashing, and so grid
-    deduplication, well defined; a config is never mutated after
-    construction, so it hashes by value.
+    checks the others. An integer setting or seed that is not an int (numpy's
+    included) is refused, not truncated. The estimator is derived from the
+    algorithm and is not a setting. Canonical form makes equality and
+    hashing, and so grid deduplication, well defined; a config is never
+    mutated after construction, so it hashes by value.
     """
 
     problem: str
@@ -108,7 +141,7 @@ class ExperimentConfig:
     sampling_budget: int = 1
     confidence: float = 0.0
     proximity_threshold: float = DEFAULT_PROXIMITY
-    population_size: int = DEFAULT_POPULATION
+    population_size: int = 100
     max_evaluations: int | None = None
     seeds: tuple[int, ...] | None = None
     max_generations: int | None = None
@@ -119,7 +152,8 @@ class ExperimentConfig:
             self.noise = make_noise(str(self.noise)).kind
             self.algorithm = str(self.algorithm).lower()
             settings = algorithm_settings(self.algorithm)
-            self.sampling_budget = int(self.sampling_budget) if "budget" in settings else 1
+            self.sampling_budget = (_integer("sampling_budget", self.sampling_budget)
+                                    if "budget" in settings else 1)
             self.confidence = float(self.confidence) if "confidence" in settings else 0.0
             make_selector(self.algorithm, self.sampling_budget, self.confidence)
         except ValueError as exc:
@@ -127,23 +161,23 @@ class ExperimentConfig:
         self.proximity_threshold = float(self.proximity_threshold)
         if not (math.isfinite(self.proximity_threshold) and self.proximity_threshold >= 0.0):
             raise ConfigError("proximity_threshold must be finite and non-negative")
-        self.population_size = int(self.population_size)
+        self.population_size = _integer("population_size", self.population_size)
         if self.population_size < 2:
             raise ConfigError("population_size must be at least 2")
         if self.max_evaluations is None:
             self.max_evaluations = default_max_evaluations(self.problem)
-        self.max_evaluations = int(self.max_evaluations)
+        self.max_evaluations = _integer("max_evaluations", self.max_evaluations)
         if self.max_evaluations < self.population_size:
             raise ConfigError("max_evaluations must cover population initialization")
         if self.seeds is None:
             self.seeds = default_seeds()
-        self.seeds = tuple(int(s) for s in self.seeds)
+        self.seeds = tuple(_integer("seeds", s) for s in self.seeds)
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         if self.max_generations is not None:
-            self.max_generations = int(self.max_generations)
+            self.max_generations = _integer("max_generations", self.max_generations)
             if self.max_generations < 0:
                 raise ConfigError("max_generations must be non-negative")
 
@@ -255,21 +289,8 @@ def _write_csv(path, rows) -> None:
 
 def _run_meta(cfg: ExperimentConfig, seed: int, generations: int, evaluations) -> dict:
     """The meta rows of a run file, in file order."""
-    return {
-        "problem": cfg.problem,
-        "noise": cfg.noise,
-        "algorithm": cfg.algorithm,
-        "estimator": cfg.estimator,
-        "sampling_budget": cfg.sampling_budget,
-        "confidence": cfg.confidence,
-        "proximity_threshold": cfg.proximity_threshold,
-        "population_size": cfg.population_size,
-        "max_evaluations": cfg.max_evaluations,
-        "max_generations": cfg.max_generations,
-        "seed": seed,
-        "generations": generations,
-        "evaluations": evaluations,
-    }
+    return {**{key: getattr(cfg, key) for key in _META_SETTINGS}, "seed": seed,
+            "generations": generations, "evaluations": evaluations}
 
 
 def write_run_csv(record: RunRecord, path) -> None:
@@ -461,18 +482,11 @@ def score_runs(source, summary_path, significance_path, front_resolution: int = 
             continue  # a scanned directory may hold other tables, such as a summary
         meta, gens, points = data.meta, data.gens, data.points
         try:
-            max_generations = meta["max_generations"]
-            cfg = ExperimentConfig(
-                meta["problem"], meta["noise"], meta["algorithm"],
-                _number("sampling_budget", meta["sampling_budget"], int),
-                _finite("confidence", meta["confidence"]),
-                _finite("proximity_threshold", meta["proximity_threshold"]),
-                _number("population_size", meta["population_size"], int),
-                _number("max_evaluations", meta["max_evaluations"], int),
-                seeds=(_number("seed", meta["seed"], int),),
-                max_generations=(_number("max_generations", max_generations, int)
-                                 if max_generations else None),
-            )
+            # An empty number is one csv wrote for None: the field takes its default.
+            given = {key: _finite(key, text) if kind is float else _number(key, text, kind)
+                     for key, (_, _, kind, _) in SETTINGS.items()
+                     if (text := meta[key]) or kind is str}
+            cfg = ExperimentConfig(**given, seeds=(_number("seed", meta["seed"], int),))
             # A run spent its last generation's evaluations, or its population's if none ran.
             spent = int(gens[-1, 1]) if len(gens) else cfg.population_size
             written = _run_meta(cfg, cfg.seeds[0], len(gens), spent)
@@ -592,22 +606,12 @@ def run_batch(configs, out_dir, jobs: int = 1) -> tuple[Path, Path]:
     return summary_path, significance_path
 
 
-_GRID_LIST_KEYS = ("problems", "noises", "algorithms", "budgets", "confidences")
-_GRID_SCALAR_KEYS = (
-    "population",
-    "evaluations",
-    "proximity",
-    "master_seed",
-    "runs",
-    "max_generations",
-)
-
-
 def parse_grid(text: str) -> dict:
     """Parse a flat key=value grid file (comments with #, comma lists).
 
-    A key set twice or set to nothing is a ConfigError naming the key and
-    its 1-based line; a key left out takes its default.
+    A key set twice, or set to nothing or to a list with an empty item, is a
+    ConfigError naming the key and its 1-based line; a key left out takes its
+    default.
     """
     grid: dict[str, object] = {}
     lines: dict[str, int] = {}
@@ -619,20 +623,15 @@ def parse_grid(text: str) -> dict:
             raise ConfigError(f"expected key = value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key in _GRID_LIST_KEYS:
-            value = [item.strip() for item in value.split(",") if item.strip()]
-        elif key in _GRID_SCALAR_KEYS:
-            value = value.strip()
-        else:
-            raise ConfigError(
-                f"unknown grid key: {key!r} (valid: "
-                f"{', '.join(_GRID_LIST_KEYS + _GRID_SCALAR_KEYS)})"
-            )
+        if key not in _GRID_KEYS:
+            raise ConfigError(f"unknown grid key: {key!r} (valid: {', '.join(_GRID_KEYS)})")
+        swept = key in _GRID_KEYS[:_SWEPT]
+        items = [item.strip() for item in value.split(",")] if swept else [value.strip()]
         if key in lines:
             raise ConfigError(f"line {number}: grid key {key!r} repeats line {lines[key]}")
-        if not value:
+        if not all(items):
             raise ConfigError(f"line {number}: grid key {key!r} has no value")
-        grid[key] = value
+        grid[key] = items if swept else items[0]
         lines[key] = number
     return grid
 
@@ -653,19 +652,8 @@ def expand_grid(grid: dict) -> list[ExperimentConfig]:
     if runs < 1:
         raise ConfigError(f"runs must be at least 1, got {runs}")
     seeds = default_seeds(master_seed, runs)
-    common = {
-        "proximity_threshold": _number(
-            "proximity", grid.get("proximity", DEFAULT_PROXIMITY), float
-        ),
-        "population_size": _number(
-            "population", grid.get("population", DEFAULT_POPULATION), int
-        ),
-        "seeds": seeds,
-    }
-    if grid.get("evaluations"):
-        common["max_evaluations"] = _number("evaluations", grid["evaluations"], int)
-    if grid.get("max_generations"):
-        common["max_generations"] = _number("max_generations", grid["max_generations"], int)
+    common = {field: _number(key, grid[key], kind)
+              for field, (_, key, kind, _) in list(SETTINGS.items())[_SWEPT:] if key in grid}
     configs: dict[ExperimentConfig, None] = {}
     for problem, noise, algorithm, budget, confidence in itertools.product(
         problems, noises, algorithms, budgets or [1], confidences or [0.0]
@@ -673,11 +661,8 @@ def expand_grid(grid: dict) -> list[ExperimentConfig]:
         for setting, values in (("budget", budgets), ("confidence", confidences)):
             if setting in algorithm_settings(algorithm) and not values:
                 raise ConfigError(f"{algorithm} requires a {setting}s list in the grid")
-        configs.setdefault(
-            ExperimentConfig(
-                problem, noise, algorithm, sampling_budget=budget, confidence=confidence, **common
-            )
-        )
+        configs.setdefault(ExperimentConfig(problem, noise, algorithm, budget, confidence,
+                                            seeds=seeds, **common))
     return list(configs)
 
 

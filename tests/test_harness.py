@@ -4,15 +4,17 @@ import csv
 import hashlib
 import pickle
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from raceopt import harness
+from raceopt import cli, harness
 from raceopt.cli import main as cli_main
 from raceopt.harness import (
     BOXPLOT_COLUMNS,
+    SETTINGS,
     SUMMARY_COLUMNS,
     ConfigError,
     ExperimentConfig,
@@ -98,6 +100,23 @@ def test_config_rejects_non_finite_proximity():
         with pytest.raises(ConfigError, match="proximity_threshold"):
             ExperimentConfig("zdt1", "none", "rsp-i", sampling_budget=5, confidence=0.5,
                              proximity_threshold=value)
+
+
+def test_config_refuses_a_non_integral_integer_setting_naming_its_field():
+    base = dict(problem="zdt1", noise="none", algorithm="static-avg", sampling_budget=2,
+                population_size=8, max_evaluations=100, seeds=(1,), max_generations=3)
+    for field, value in (("sampling_budget", 2.9), ("population_size", 8.7),
+                         ("max_evaluations", 100.5), ("max_evaluations", float("inf")),
+                         ("seeds", (1, 1.9)), ("max_generations", 3.2)):
+        shown = repr(value[-1] if field == "seeds" else value)
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {shown}$"):
+            ExperimentConfig(**{**base, field: value})
+    # numpy integers are integers.
+    cfg = ExperimentConfig("zdt1", "none", "static-avg", sampling_budget=np.int64(2),
+                           population_size=np.int32(8), max_evaluations=np.uint16(100),
+                           seeds=(np.int64(1),), max_generations=np.int8(3))
+    assert cfg == ExperimentConfig(**base)
+    assert type(cfg.population_size) is int and type(cfg.seeds[0]) is int
 
 
 def test_config_pickle_roundtrip():
@@ -553,8 +572,10 @@ def test_parse_grid_rejects_unknown_keys():
 
 def test_parse_grid_rejects_empty_values_naming_key_and_line():
     # An empty value would otherwise run the default (all five problems).
+    # An empty list item would otherwise be dropped silently.
     for text, line in (("problems =\n", 1), ("runs = 2\nevaluations =   \n", 2),
-                       ("# x\nnoises = , ,\n", 2)):
+                       ("# x\nnoises = , ,\n", 2), ("runs = 2\nbudgets = 2,,3\n", 2),
+                       ("problems = zdt1,\n", 1), ("problems = ,zdt1\n", 1)):
         with pytest.raises(ConfigError, match=rf"line {line}: grid key '\w+' has no value"):
             parse_grid(text)
     # An omitted key still means its default.
@@ -1056,3 +1077,63 @@ def test_cli_score_names_the_first_pop_line_of_rows_wider_than_the_problem(tmp_p
     assert f"run.csv, line {pop + 1}: pop row '{lines[pop].rstrip()},0.5' holds 3 values" in err
     assert "zdt1 has 2 objectives" in err
     assert not summary.exists()
+
+
+# ---------------------------------------------------------------------------
+# the settings table: one spelling per surface
+
+# A value for every setting, none of them its config default.
+SETTING_VALUES = {"problem": "zdt2", "noise": "gaussian", "algorithm": "rsp-avg",
+                  "sampling_budget": "3", "confidence": "0.25", "proximity_threshold": "0.3",
+                  "population_size": "8", "max_evaluations": "200", "max_generations": "2"}
+
+
+@pytest.mark.parametrize("field", SETTINGS)
+def test_every_setting_is_a_run_flag_a_grid_key_and_a_meta_key(field, tmp_path):
+    flag, key, kind, _ = SETTINGS[field]
+    value = SETTING_VALUES[field]
+    required = ["run", "--problem", "zdt1", "--noise", "none", "--algo", "implicit",
+                "--seed", "0", "--out", "run.csv"]
+    args = cli._build_parser().parse_args(required + [flag, value])
+    assert getattr(args, field) == kind(value)
+    assert key in parse_grid(f"{key} = {value}\n")
+    path = tmp_path / "run.csv"
+    write_run_csv(run_experiment(_tiny(), 0), path)
+    assert field in read_run_csv(path).meta
+
+
+def test_run_grid_and_score_build_one_config_from_every_setting(tmp_path, monkeypatch):
+    assert list(SETTING_VALUES) == list(SETTINGS)
+    grid = "".join(f"{setting.grid} = {SETTING_VALUES[field]}\n"
+                   for field, setting in SETTINGS.items())
+    (from_grid,) = expand_grid(parse_grid(grid + "master_seed = 4\nruns = 1\n"))
+    for field in fields(ExperimentConfig):
+        if field.name in SETTINGS:
+            assert getattr(from_grid, field.name) != field.default, field.name
+    # Record the config `raceopt run` runs and the one `score_runs` builds from its file.
+    built = []
+
+    def running(cfg, seed):
+        built.append(cfg)
+        return run_experiment(cfg, seed)
+
+    def building(*args, **kwargs):
+        built.append(ExperimentConfig(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", running)
+    monkeypatch.setattr(harness, "ExperimentConfig", building)
+    path = tmp_path / "run.csv"
+    argv = ["run", "--seed", "4", "--out", str(path)]
+    for field, setting in SETTINGS.items():
+        argv += [setting.flag, SETTING_VALUES[field]]
+    assert cli_main(argv) == 0
+    score_runs(path, tmp_path / "summary.csv", tmp_path / "significance.csv")
+    assert built == [from_grid, from_grid]
+    assert read_run_csv(path).meta["max_generations"] == "2"
+
+
+def test_readme_settings_table_lists_the_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| [^|]+ \| `(--[\w-]+)` \| `(\w+)` \| `(\w+)` \|", readme, re.M)
+    assert rows == [(setting.flag, setting.grid, field) for field, setting in SETTINGS.items()]
